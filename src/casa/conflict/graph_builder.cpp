@@ -1,6 +1,7 @@
 #include "casa/conflict/graph_builder.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
 
 #include "casa/support/error.hpp"
 
@@ -8,46 +9,110 @@ namespace casa::conflict {
 
 namespace {
 
+/// m_ij counters keyed by i << 32 | j: open addressing with linear probing
+/// over a power-of-two table kept at most half full. Object ids are below
+/// 2^32 - 1, so the all-ones key never occurs and marks an empty slot.
+class PairCounts {
+ public:
+  PairCounts() : slots_(kInitialSlots) {}
+
+  void increment(std::uint64_t key) {
+    Slot* s = probe(key);
+    if (s->key == kEmpty) {
+      if (2 * (used_ + 1) > slots_.size()) {
+        rehash(2 * slots_.size());
+        s = probe(key);
+      }
+      s->key = key;
+      ++used_;
+    }
+    ++s->count;
+  }
+
+  /// One edge per counted pair, in slot order (ConflictGraph sorts them).
+  std::vector<Edge> edges() const {
+    std::vector<Edge> out;
+    out.reserve(used_);
+    for (const Slot& s : slots_) {
+      if (s.key == kEmpty) continue;
+      const auto from = static_cast<std::uint32_t>(s.key >> 32);
+      const auto to = static_cast<std::uint32_t>(s.key);
+      out.push_back(Edge{MemoryObjectId(from), MemoryObjectId(to), s.count});
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kInitialSlots = 256;
+
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::uint64_t count = 0;
+  };
+
+  Slot* probe(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of the product spread both halves.
+    std::size_t i = static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ull) >>
+        (64 - std::countr_zero(slots_.size())));
+    while (slots_[i].key != key && slots_[i].key != kEmpty) i = (i + 1) & mask;
+    return &slots_[i];
+  }
+
+  void rehash(std::size_t n) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(n, Slot{});
+    for (const Slot& s : old) {
+      if (s.key != kEmpty) *probe(s.key) = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
 /// Mutable build state shared by both replay granularities.
 struct BuildState {
   std::vector<std::uint64_t> fetches;
   std::vector<std::uint64_t> cold;
   std::vector<std::uint64_t> hits;
-  // (i << 32 | j) -> m_ij
-  std::unordered_map<std::uint64_t, std::uint64_t> m;
-  // line number -> object whose fill evicted it
-  std::unordered_map<std::uint64_t, MemoryObjectId> evicted_by;
+  PairCounts m;
+  // Line first_line + k -> object whose fill evicted it (invalid: none).
+  // Every replayed line lies in [first_line, first_line + evicted_by.size()).
+  std::vector<MemoryObjectId> evicted_by;
+  std::uint64_t first_line = 0;
 
-  explicit BuildState(std::size_t n) : fetches(n, 0), cold(n, 0), hits(n, 0) {}
+  BuildState(std::size_t n, std::uint64_t first, std::uint64_t end_line)
+      : fetches(n, 0), cold(n, 0), hits(n, 0),
+        evicted_by(end_line - first), first_line(first) {}
+
+  MemoryObjectId& evictor(std::uint64_t line) {
+    CASA_CHECK(line - first_line < evicted_by.size(),
+               "replayed line outside the layout's image");
+    return evicted_by[line - first_line];
+  }
 
   /// Miss bookkeeping for one missing line access by `mo` (paper eq. 5/6):
   /// attribute the miss to its recorded evictor, or count it cold.
   void on_miss(MemoryObjectId mo, std::uint64_t line,
                const cachesim::AccessResult& r) {
-    auto ev = evicted_by.find(line);
-    if (ev == evicted_by.end()) {
+    MemoryObjectId& ev = evictor(line);
+    if (!ev.valid()) {
       ++cold[mo.index()];
     } else {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(mo.value()) << 32) | ev->second.value();
-      ++m[key];
-      evicted_by.erase(ev);
+      m.increment((static_cast<std::uint64_t>(mo.value()) << 32) | ev.value());
+      ev = MemoryObjectId::invalid();
     }
     if (r.evicted_line.has_value()) {
-      evicted_by[*r.evicted_line] = mo;
+      evictor(*r.evicted_line) = mo;
     }
   }
 
   ConflictGraph finish(std::size_t n) {
-    std::vector<Edge> edges;
-    edges.reserve(m.size());
-    for (const auto& [key, weight] : m) {
-      edges.push_back(
-          Edge{MemoryObjectId(static_cast<std::uint32_t>(key >> 32)),
-               MemoryObjectId(static_cast<std::uint32_t>(key)), weight});
-    }
     return ConflictGraph(n, std::move(fetches), std::move(cold),
-                         std::move(hits), std::move(edges));
+                         std::move(hits), m.edges());
   }
 };
 
@@ -58,7 +123,9 @@ ConflictGraph replay_words(const traceopt::TraceProgram& tp,
   const std::size_t n = tp.object_count();
   const prog::Program& program = tp.program();
   cachesim::Cache cache(opt.cache, opt.seed);
-  BuildState st(n);
+  const Bytes line = opt.cache.line_size;
+  BuildState st(n, layout.base() / line,
+                (layout.base() + layout.span() + line - 1) / line);
 
   for (const BasicBlockId bb : walk.seq) {
     const MemoryObjectId mo = tp.object_of(bb);
@@ -84,7 +151,16 @@ ConflictGraph replay_lines(const traceopt::TraceProgram& tp,
                            const BuildOptions& opt) {
   const std::size_t n = tp.object_count();
   cachesim::Cache cache(opt.cache, opt.seed);
-  BuildState st(n);
+  std::uint64_t first_line = ~std::uint64_t{0};
+  std::uint64_t end_line = 0;
+  for (std::size_t b = 0; b < tp.program().block_count(); ++b) {
+    for (const trace::LineRun& run :
+         stream.runs(BasicBlockId(static_cast<std::uint32_t>(b)))) {
+      first_line = std::min(first_line, run.line);
+      end_line = std::max(end_line, run.line + 1);
+    }
+  }
+  BuildState st(n, std::min(first_line, end_line), end_line);
 
   for (const BasicBlockId bb : walk.seq) {
     const MemoryObjectId mo = tp.object_of(bb);

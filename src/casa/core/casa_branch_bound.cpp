@@ -142,21 +142,16 @@ class Search {
   ///      shared uncovered edge may be credited to both endpoints;
   ///  (b) fractional knapsack at linear values plus *all* still-open edge
   ///      weight — edges counted once, but granted without capacity.
+  /// Reads the candidates and densities dfs() just collected in scratch_.
   Energy bound() {
-    scratch_.clear();
-    for (std::size_t k = 0; k < state_.size(); ++k) {
-      if (state_[k] == kUndecided && sp_.weight[k] <= cap_left_ &&
-          cur_opt_[k] > 0) {
-        scratch_.push_back(static_cast<std::uint32_t>(k));
-      }
-    }
     std::sort(scratch_.begin(), scratch_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return density(a) > density(b);
+              [](const Candidate& a, const Candidate& b) {
+                return a.density > b.density;
               });
     Energy opt_knap = 0;
     Bytes cap = cap_left_;
-    for (const std::uint32_t k : scratch_) {
+    for (const Candidate& c : scratch_) {
+      const std::size_t k = c.item;
       if (cap == 0) break;
       if (sp_.weight[k] <= cap) {
         opt_knap += cur_opt_[k];
@@ -260,15 +255,19 @@ class Search {
       ++stats_.incumbent_updates;
     }
 
-    // Branch variable: densest undecided item that still fits.
+    // Branch variable: densest undecided item that still fits. The same
+    // pass collects every such item with its density for bound(), which
+    // sorts them on the stored keys.
     int pick = -1;
     double pick_density = 0.0;
+    scratch_.clear();
     for (std::size_t k = 0; k < state_.size(); ++k) {
       if (state_[k] != kUndecided || sp_.weight[k] > cap_left_ ||
           cur_opt_[k] <= 0) {
         continue;
       }
       const double d = density(k);
+      scratch_.push_back(Candidate{d, static_cast<std::uint32_t>(k)});
       if (pick < 0 || d > pick_density) {
         pick = static_cast<int>(k);
         pick_density = d;
@@ -297,7 +296,11 @@ class Search {
   std::vector<Energy> cur_opt_;
   std::vector<std::uint8_t> state_;
   std::vector<std::uint16_t> cover_;
-  std::vector<std::uint32_t> scratch_;
+  struct Candidate {
+    double density;
+    std::uint32_t item;
+  };
+  std::vector<Candidate> scratch_;
   std::vector<std::uint32_t> value_order_;
   Bytes cap_left_ = 0;
   Energy cur_saving_ = 0;

@@ -27,13 +27,15 @@ class Tableau {
   void build(const std::vector<double>& lower,
              const std::vector<double>& upper);
   void compute_reduced_costs();
+  void refresh_eligible(std::size_t j);
   StepResult iterate();
   int price() const;
+  void pivot(std::size_t r, std::size_t q);
   Solution extract(SolveStatus status);
   double phase1_infeasibility() const;
 
-  double at(std::size_t r, std::size_t c) const { return t_[r * stride_ + c]; }
-  double& at(std::size_t r, std::size_t c) { return t_[r * stride_ + c]; }
+  double at(std::size_t r, std::size_t c) const { return t_[r * n_ + c]; }
+  double& at(std::size_t r, std::size_t c) { return t_[r * n_ + c]; }
 
   const Model& model_;
   const SimplexSolver::Options& opt_;
@@ -41,11 +43,15 @@ class Tableau {
   std::size_t m_ = 0;        // rows
   std::size_t n_ = 0;        // total columns (struct + slack + artificial)
   std::size_t n_struct_ = 0; // structural columns
-  std::size_t stride_ = 0;   // n_ + 1 (b column last)
-  std::size_t bcol_ = 0;
 
-  std::vector<double> t_;        // m_ x stride_ tableau
+  std::vector<double> t_;        // m_ x n_ tableau, row-major
+  std::vector<double> xb_;       // right-hand side: basic values, length m_
   std::vector<double> d_;        // reduced costs, length n_
+  std::vector<double> elig_;     // d_ where the column may enter, else +inf
+  std::vector<double> col_;      // entering column's nonzeros, in row order
+  std::vector<std::size_t> col_rows_;  // their rows
+  std::size_t col_nnz_ = 0;
+  std::vector<std::size_t> nz_;  // pivot row's nonzero columns
   std::vector<double> cost_;     // tableau-space phase cost, length n_
   std::vector<double> cost2_;    // tableau-space phase-2 cost, length n_
   std::vector<double> ubound_;   // tableau-space upper bounds (U_j)
@@ -111,9 +117,8 @@ void Tableau::build(const std::vector<double>& lower,
   m_ = nc;
   n_struct_ = nv;
   n_ = nv + n_slack + n_art;
-  stride_ = n_ + 1;
-  bcol_ = n_;
-  t_.assign(m_ * stride_, 0.0);
+  t_.assign(m_ * n_, 0.0);
+  xb_.assign(m_, 0.0);
   ubound_.assign(n_, kInfinity);
   for (std::size_t j = 0; j < nv; ++j) ubound_[j] = ub[j];
   complemented_.assign(n_, 0);
@@ -122,6 +127,10 @@ void Tableau::build(const std::vector<double>& lower,
   row_of_.assign(n_, -1);
   cost_.assign(n_, 0.0);
   cost2_.assign(n_, 0.0);
+  elig_.resize(n_);
+  col_.resize(m_);
+  col_rows_.resize(m_);
+  nz_.resize(n_);
 
   // Structural coefficients.
   for (std::size_t i = 0; i < nc; ++i) {
@@ -131,7 +140,7 @@ void Tableau::build(const std::vector<double>& lower,
     for (const Term& term : c.expr.terms()) {
       at(i, term.var.index()) += sign * term.coef;
     }
-    at(i, bcol_) = rows[i].rhs;
+    xb_[i] = rows[i].rhs;
   }
 
   // Slack / artificial columns and the starting basis.
@@ -186,23 +195,47 @@ void Tableau::compute_reduced_costs() {
   for (std::size_t i = 0; i < m_; ++i) {
     d_[static_cast<std::size_t>(basis_[i])] = 0.0;
   }
+  for (std::size_t j = 0; j < n_; ++j) refresh_eligible(j);
 }
 
+/// Basic, fixed (U_j <= 0) and, in phase 2, artificial columns never enter;
+/// pricing sees them as +inf so it needs no per-column branches.
+void Tableau::refresh_eligible(std::size_t j) {
+  const bool eligible = row_of_[j] < 0 && !(ubound_[j] <= 0.0) &&
+                        (phase1_ || !is_artificial_[j]);
+  elig_[j] = eligible ? d_[j] : std::numeric_limits<double>::infinity();
+}
+
+// Dantzig: the first column holding the most negative eligible reduced cost
+// below -tol. The minimum is an exact reduction (ties and NaNs resolve the
+// same in any order), so the multi-lane scan returns what a strict-< left to
+// right scan would. Bland: the first eligible column below -tol.
 int Tableau::price() const {
-  const bool bland = degenerate_streak_ >= opt_.bland_trigger;
-  int best = -1;
-  double best_d = -opt_.tol;
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (row_of_[j] >= 0) continue;            // basic
-    if (ubound_[j] <= 0.0) continue;          // fixed
-    if (phase1_ == false && is_artificial_[j]) continue;
-    if (d_[j] < best_d) {
-      if (bland) return static_cast<int>(j);
-      best_d = d_[j];
-      best = static_cast<int>(j);
+  const double* e = elig_.data();
+  const double limit = -opt_.tol;
+  if (degenerate_streak_ >= opt_.bland_trigger) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (e[j] < limit) return static_cast<int>(j);
+    }
+    return -1;
+  }
+  // Eight independent minimum chains keep the scan throughput-bound.
+  constexpr std::size_t kLanes = 8;
+  double m[kLanes];
+  for (double& x : m) x = std::numeric_limits<double>::infinity();
+  std::size_t j = 0;
+  for (; j + kLanes <= n_; j += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      m[l] = e[j + l] < m[l] ? e[j + l] : m[l];
     }
   }
-  return best;
+  for (; j < n_; ++j) m[0] = e[j] < m[0] ? e[j] : m[0];
+  double best = m[0];
+  for (std::size_t l = 1; l < kLanes; ++l) best = m[l] < best ? m[l] : best;
+  if (!(best < limit)) return -1;
+  std::size_t first = 0;
+  while (e[first] != best) ++first;
+  return static_cast<int>(first);
 }
 
 Tableau::StepResult Tableau::iterate() {
@@ -213,13 +246,25 @@ Tableau::StepResult Tableau::iterate() {
   if (enter < 0) return StepResult::kOptimal;
   const auto q = static_cast<std::size_t>(enter);
 
+  // Gather the entering column's nonzero rows once (branch-free): the ratio
+  // test, a bound flip and the pivot visit only those rows, in row order. A
+  // zero row never blocks the ratio test and is left unchanged by both.
+  col_nnz_ = 0;
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double a = at(i, q);
+    col_[col_nnz_] = a;
+    col_rows_[col_nnz_] = i;
+    col_nnz_ += a != 0.0 ? 1 : 0;
+  }
+
   // Ratio test.
   double t_best = ubound_[q];  // bound flip distance (may be +inf)
   int leave_row = -1;
   bool leave_at_upper = false;
-  for (std::size_t i = 0; i < m_; ++i) {
-    const double a = at(i, q);
-    const double xb = at(i, bcol_);
+  for (std::size_t k = 0; k < col_nnz_; ++k) {
+    const std::size_t i = col_rows_[k];
+    const double a = col_[k];
+    const double xb = xb_[i];
     const auto vb = static_cast<std::size_t>(basis_[i]);
     if (a > opt_.tol) {
       const double t = xb / a;
@@ -244,12 +289,15 @@ Tableau::StepResult Tableau::iterate() {
 
   if (leave_row < 0) {
     if (!std::isfinite(t_best)) return StepResult::kUnbounded;
-    // Bound flip: the entering variable travels to its upper bound.
-    for (std::size_t i = 0; i < m_; ++i) {
-      at(i, bcol_) -= at(i, q) * t_best;
-      at(i, q) = -at(i, q);
+    // Bound flip: the entering variable travels to its upper bound. Rows
+    // where the column is zero would only change the sign of a zero.
+    for (std::size_t k = 0; k < col_nnz_; ++k) {
+      const std::size_t i = col_rows_[k];
+      xb_[i] -= col_[k] * t_best;
+      at(i, q) = -col_[k];
     }
     d_[q] = -d_[q];
+    refresh_eligible(q);
     cost_[q] = -cost_[q];
     cost2_[q] = -cost2_[q];
     complemented_[q] ^= 1;
@@ -265,45 +313,67 @@ Tableau::StepResult Tableau::iterate() {
     const double u = ubound_[vb];
     for (std::size_t j = 0; j < n_; ++j) at(r, j) = -at(r, j);
     at(r, vb) = 1.0;
-    at(r, bcol_) = u - at(r, bcol_);
+    xb_[r] = u - xb_[r];
     cost_[vb] = -cost_[vb];
     cost2_[vb] = -cost2_[vb];
     complemented_[vb] ^= 1;
     // Note: a_rq became -a_rq > 0 — pivot below proceeds normally.
   }
 
-  // Pivot on (r, q).
-  const double p = at(r, q);
+  pivot(r, q);
+  degenerate_streak_ = t_best < opt_.tol ? degenerate_streak_ + 1 : 0;
+  return StepResult::kProgress;
+}
+
+/// Pivots on (r, q). Only the pivot row's nonzero columns and the rows whose
+/// entering-column entry is nonzero change: every skipped update would
+/// subtract an exact zero, which can at most flip the sign of a zero entry,
+/// and a signed zero never feeds a decision (docs/solver.md, "Bit-exact
+/// kernel contract").
+void Tableau::pivot(std::size_t r, std::size_t q) {
+  double* const prow = &t_[r * n_];
+  const double p = prow[q];
   CASA_CHECK(std::abs(p) > opt_.tol, "pivot element vanished");
   const double inv = 1.0 / p;
-  for (std::size_t j = 0; j <= n_; ++j) at(r, j) *= inv;
-  at(r, q) = 1.0;
-  for (std::size_t i = 0; i < m_; ++i) {
+  // Branch-free compaction of the pivot row's nonzero columns.
+  std::size_t* const nz = nz_.data();
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < n_; ++j) {
+    nz[count] = j;
+    count += prow[j] != 0.0 ? 1 : 0;
+  }
+  for (std::size_t k = 0; k < count; ++k) prow[nz[k]] *= inv;
+  prow[q] = 1.0;
+  if (xb_[r] != 0.0) xb_[r] *= inv;
+  const double xr = xb_[r];
+  for (std::size_t c = 0; c < col_nnz_; ++c) {
+    const std::size_t i = col_rows_[c];
     if (i == r) continue;
-    const double f = at(i, q);
-    if (f == 0.0) continue;
-    for (std::size_t j = 0; j <= n_; ++j) at(i, j) -= f * at(r, j);
-    at(i, q) = 0.0;
+    const double f = col_[c];
+    double* const row = &t_[i * n_];
+    for (std::size_t k = 0; k < count; ++k) row[nz[k]] -= f * prow[nz[k]];
+    row[q] = 0.0;
+    if (xr != 0.0) xb_[i] -= f * xr;
   }
   const double dq = d_[q];
   if (dq != 0.0) {
-    for (std::size_t j = 0; j < n_; ++j) d_[j] -= dq * at(r, j);
+    for (std::size_t k = 0; k < count; ++k) d_[nz[k]] -= dq * prow[nz[k]];
   }
   d_[q] = 0.0;
 
   row_of_[static_cast<std::size_t>(basis_[r])] = -1;
   basis_[r] = static_cast<int>(q);
   row_of_[q] = static_cast<int>(r);
-
-  degenerate_streak_ = t_best < opt_.tol ? degenerate_streak_ + 1 : 0;
-  return StepResult::kProgress;
+  // The leaving column and q are both nonzero in the pivot row, as is every
+  // column whose reduced cost moved.
+  for (std::size_t k = 0; k < count; ++k) refresh_eligible(nz[k]);
 }
 
 double Tableau::phase1_infeasibility() const {
   double total = 0.0;
   for (std::size_t i = 0; i < m_; ++i) {
     if (is_artificial_[static_cast<std::size_t>(basis_[i])]) {
-      total += std::max(0.0, at(i, bcol_));
+      total += std::max(0.0, xb_[i]);
     }
   }
   return total;
@@ -320,7 +390,7 @@ Solution Tableau::extract(SolveStatus status) {
   for (std::size_t j = 0; j < n_struct_; ++j) {
     double y = 0.0;
     if (row_of_[j] >= 0) {
-      y = at(static_cast<std::size_t>(row_of_[j]), bcol_);
+      y = xb_[static_cast<std::size_t>(row_of_[j])];
     }
     if (complemented_[j]) y = ubound_[j] - y;
     sol.values[j] = shift_[j] + y;

@@ -1,17 +1,24 @@
 #include "casa/io/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "casa/support/error.hpp"
 
 namespace casa::io {
 
 std::uint64_t to_u64(const std::string& s) {
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
+  // from_chars into an unsigned type takes digits only (no sign, space or
+  // prefix) and reports overflow instead of wrapping; the whole string must
+  // be consumed.
+  std::uint64_t v = 0;
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
     throw PreconditionError("serialized data: expected integer, got: " + s);
   }
+  return v;
 }
 
 double to_double(const std::string& s) {
@@ -50,8 +57,16 @@ void JsonReader::expect(char c) {
 
 JsonValue JsonReader::value() {
   const char c = peek();
-  if (c == '{') return object();
-  if (c == '[') return array();
+  if (c == '{' || c == '[') {
+    CASA_CHECK(depth_ < kMaxDepth,
+               "metrics json: nesting deeper than " +
+                   std::to_string(kMaxDepth) + " levels at offset " +
+                   std::to_string(pos_));
+    ++depth_;
+    JsonValue v = c == '{' ? object() : array();
+    --depth_;
+    return v;
+  }
   if (c == '"') {
     JsonValue v;
     v.kind = JsonValue::Kind::kString;

@@ -12,7 +12,9 @@
 
 namespace casa::io {
 
-/// Strict integer parse; throws PreconditionError on anything else.
+/// Strict unsigned parse: one or more ASCII digits whose value fits in 64
+/// bits. Signs, whitespace, trailing junk and overflow all throw
+/// PreconditionError.
 std::uint64_t to_u64(const std::string& s);
 
 /// Strict floating parse; throws PreconditionError on anything else.
@@ -40,8 +42,13 @@ struct JsonValue {
 /// Not a general JSON reader: no booleans, no null, no nested escapes
 /// beyond what obs::json_escape produces. Errors keep the historical
 /// "metrics json:" prefix the artifact readers have always thrown.
+/// Objects and arrays nest at most kMaxDepth deep (the artifacts and the
+/// serve protocol use fewer than ten levels), so hostile input deep enough
+/// to exhaust the stack is rejected with PreconditionError instead.
 class JsonReader {
  public:
+  static constexpr std::size_t kMaxDepth = 64;
+
   explicit JsonReader(std::string text) : text_(std::move(text)) {}
 
   JsonValue parse();
@@ -58,6 +65,7 @@ class JsonReader {
 
   std::string text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< objects/arrays open around pos_
 };
 
 /// Object member access with a uniform missing-key error.

@@ -1,5 +1,8 @@
 #include "casa/memsim/hierarchy.hpp"
 
+#include <optional>
+#include <span>
+
 #include "casa/obs/metric_names.hpp"
 #include "casa/support/error.hpp"
 
@@ -106,12 +109,61 @@ SimReport run_words(const traceopt::TraceProgram& tp,
   return rep;
 }
 
-/// Line-granular inner loop over a compiled stream (no loop-cache path; see
-/// SimOptions::use_compiled_stream).
+/// A compiled stream's runs re-cut at loop-cache region edges. Region
+/// membership is tested per word, as in the word replay, but once per static
+/// word instead of once per fetch. Words inside a region never reach the
+/// cache, so each block keeps them as a count and its other words as
+/// cache-bound sub-runs (each one line, word-contiguous, in fetch order):
+/// the cache sees exactly the word replay's accesses, in the same order.
+class RegionSplit {
+ public:
+  RegionSplit(const trace::CompiledStream& stream,
+              const loopcache::RegionSet& regions, std::size_t blocks)
+      : first_(blocks + 1, 0), lc_words_(blocks, 0) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const BasicBlockId bb(static_cast<std::uint32_t>(b));
+      first_[b] = static_cast<std::uint32_t>(runs_.size());
+      for (const trace::LineRun& run : stream.runs(bb)) {
+        bool extend = false;  // runs_.back() ends at the previous word
+        for (std::uint32_t w = 0; w < run.words; ++w) {
+          const Addr addr = run.addr + w * kWordBytes;
+          if (regions.contains(addr)) {
+            ++lc_words_[b];
+            extend = false;
+          } else if (extend) {
+            ++runs_.back().words;
+          } else {
+            runs_.push_back(trace::LineRun{addr, run.line, 1});
+            extend = true;
+          }
+        }
+      }
+    }
+    first_[blocks] = static_cast<std::uint32_t>(runs_.size());
+  }
+
+  std::span<const trace::LineRun> runs(BasicBlockId bb) const {
+    return {runs_.data() + first_[bb.index()],
+            runs_.data() + first_[bb.index() + 1]};
+  }
+  std::uint64_t lc_words(BasicBlockId bb) const {
+    return lc_words_[bb.index()];
+  }
+
+ private:
+  std::vector<trace::LineRun> runs_;     ///< cache-bound sub-runs
+  std::vector<std::uint32_t> first_;     ///< per block, into runs_
+  std::vector<std::uint64_t> lc_words_;  ///< per block, loop-cache words
+};
+
+/// Line-granular inner loop over a compiled stream. With `regions`, runs are
+/// split at region edges (RegionSplit) and the loop-cache words are counted
+/// per block.
 SimReport run_lines(const traceopt::TraceProgram& tp,
                     const trace::CompiledStream& stream,
                     const trace::BlockWalk& walk,
                     const std::vector<bool>& spm_mo,
+                    const loopcache::RegionSet* regions,
                     const cachesim::CacheConfig& cache_cfg,
                     const energy::EnergyTable& energies,
                     const SimOptions& opt) {
@@ -120,6 +172,10 @@ SimReport run_lines(const traceopt::TraceProgram& tp,
   const LatencyParams& lat = opt.latency;
   const std::uint64_t miss_cycles =
       lat.cache_hit + lat.miss_base_penalty + line_words * lat.miss_per_word;
+  std::optional<RegionSplit> split;
+  if (regions != nullptr) {
+    split.emplace(stream, *regions, tp.program().block_count());
+  }
 
   SimReport rep;
   SimCounters& c = rep.counters;
@@ -138,8 +194,16 @@ SimReport run_lines(const traceopt::TraceProgram& tp,
 
     CASA_CHECK(stream.cached(bb),
                "cached block missing from the compiled layout");
-    runs_replayed += stream.runs(bb).size();
-    for (const trace::LineRun& run : stream.runs(bb)) {
+    std::span<const trace::LineRun> runs = stream.runs(bb);
+    if (split) {
+      const std::uint64_t lc = split->lc_words(bb);
+      c.total_fetches += lc;
+      c.lc_accesses += lc;
+      c.cycles += lc * lat.lc_access;
+      runs = split->runs(bb);
+    }
+    runs_replayed += runs.size();
+    for (const trace::LineRun& run : runs) {
       c.total_fetches += run.words;
       c.cache_accesses += run.words;
       const cachesim::AccessResult r = cache.access_line(run.addr, run.words);
@@ -157,11 +221,12 @@ SimReport run_lines(const traceopt::TraceProgram& tp,
   }
 
   c.cache_evictions = cache.evictions();
-  finish(rep, energies, /*loop_cache=*/false);
+  finish(rep, energies, regions != nullptr);
   record_metrics(opt.metrics, c);
-  if (opt.metrics != nullptr) {
+  if (opt.metrics != nullptr && regions == nullptr) {
     // Compiled-stream run-length telemetry: static runs in the compiled
-    // image, dynamic runs replayed, and the words they collapsed.
+    // image, dynamic runs replayed, and the words they collapsed. Scoped to
+    // scratchpad and cache-only replays.
     opt.metrics->add(obs::metric_names::kStreamCompiledRuns, stream.total_runs());
     opt.metrics->add(obs::metric_names::kStreamReplayedRuns, runs_replayed);
     opt.metrics->add(obs::metric_names::kStreamReplayedWords,
@@ -175,10 +240,11 @@ SimReport run(const traceopt::TraceProgram& tp, const traceopt::Layout& layout,
               const loopcache::RegionSet* regions,
               const cachesim::CacheConfig& cache_cfg,
               const energy::EnergyTable& energies, const SimOptions& opt) {
-  if (regions == nullptr && opt.use_compiled_stream) {
+  if (opt.use_compiled_stream) {
     const trace::CompiledStream stream =
         traceopt::compile_fetch_stream(tp, layout, cache_cfg.line_size);
-    return run_lines(tp, stream, walk, spm_mo, cache_cfg, energies, opt);
+    return run_lines(tp, stream, walk, spm_mo, regions, cache_cfg, energies,
+                     opt);
   }
   return run_words(tp, layout, walk, spm_mo, regions, cache_cfg, energies,
                    opt);

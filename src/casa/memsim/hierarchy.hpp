@@ -58,10 +58,12 @@ struct SimOptions {
   LatencyParams latency;
   /// Replay the walk at line granularity via a pre-compiled fetch stream
   /// (trace::CompiledStream) — ~line_size/4 fewer cache calls, identical
-  /// counters and (counter-derived) energies. The word-granular reference
-  /// path is kept for oracle tests. Loop-cache simulation always replays
-  /// words: preloaded regions bound by loop/function extents need not align
-  /// to cache lines, so a line run may straddle a region edge.
+  /// counters and (counter-derived) energies. Loop-cache simulation uses it
+  /// too: preloaded regions bound by loop/function extents need not align
+  /// to cache lines, so each same-line run is split at region edges once
+  /// per simulation (words inside a region count as loop-cache accesses,
+  /// the rest reach the cache as shorter same-line runs). False selects the
+  /// word-granular reference replay, kept as the oracle for tests.
   bool use_compiled_stream = true;
   /// When set, the final counters (sim.* / cache.* / stream.* — see
   /// docs/metrics.md) are recorded here after the replay finishes. Recording

@@ -6,14 +6,18 @@
 // conflict graphs (fetches / cold / hits / every edge), identical hierarchy
 // counters, byte-identical energy totals, and identical two-level counters
 // — across associativities, replacement policies (including Random with a
-// fixed seed), and move-semantics layouts with unplaced objects.
+// fixed seed), move-semantics layouts with unplaced objects, and loop-cache
+// replays whose region edges split same-line runs.
 #include <gtest/gtest.h>
 
 #include "casa/cachesim/cache.hpp"
 #include "casa/conflict/graph_builder.hpp"
 #include "casa/energy/energy_table.hpp"
+#include "casa/loopcache/ross_allocator.hpp"
 #include "casa/memsim/hierarchy.hpp"
 #include "casa/memsim/two_level.hpp"
+#include "casa/obs/metric_names.hpp"
+#include "casa/obs/metrics.hpp"
 #include "casa/support/rng.hpp"
 #include "casa/trace/compiled_stream.hpp"
 #include "casa/trace/executor.hpp"
@@ -249,6 +253,110 @@ TEST(CompiledStream, MoveSemanticsLayoutOracle) {
                                   cache, energies, fast_opt),
       memsim::simulate_spm_system(r.tp, compacted, r.exec.walk, on_spm,
                                   cache, energies, ref_opt));
+}
+
+/// Loop-cache replay through the compiled stream vs the word replay.
+void expect_loopcache_oracle(const Rig& r, const loopcache::RegionSet& regions,
+                             const cachesim::CacheConfig& cache) {
+  const auto energies = energy::EnergyTable::build(cache, 0, 256, 4);
+  memsim::SimOptions fast_opt;
+  fast_opt.seed = 5;
+  memsim::SimOptions ref_opt = fast_opt;
+  ref_opt.use_compiled_stream = false;
+  const memsim::SimReport fast = memsim::simulate_loopcache_system(
+      r.tp, r.layout, r.exec.walk, regions, cache, energies, fast_opt);
+  const memsim::SimReport ref = memsim::simulate_loopcache_system(
+      r.tp, r.layout, r.exec.walk, regions, cache, energies, ref_opt);
+  expect_same_report(fast, ref);
+  EXPECT_EQ(fast.counters.cache_evictions, ref.counters.cache_evictions);
+  EXPECT_TRUE(fast == ref);
+}
+
+TEST(CompiledStream, LoopCacheSimulationOracle) {
+  // Gordon-Ross/Vahid selections of 1, 2, 4 and 8 regions: loop and
+  // function extents that start and end mid-line.
+  for (const std::string workload : {"adpcm", "g721"}) {
+    for (const cachesim::CacheConfig& cache : oracle_configs()) {
+      const Rig r(workload, cache.line_size);
+      const std::vector<loopcache::Region> candidates =
+          loopcache::enumerate_regions(r.tp, r.layout, r.exec.profile);
+      for (const unsigned max_regions : {1u, 2u, 4u, 8u}) {
+        loopcache::LoopCacheConfig lc;
+        lc.size = 1_KiB;
+        lc.max_regions = max_regions;
+        const loopcache::RossResult sel =
+            loopcache::allocate_ross(candidates, lc);
+        ASSERT_FALSE(sel.selected.regions().empty());
+        expect_loopcache_oracle(r, sel.selected, cache);
+      }
+    }
+  }
+}
+
+TEST(CompiledStream, LoopCacheRegionInsideOneLine) {
+  // Regions cut by hand into the hottest block's lines: one starts and ends
+  // inside a single cache line (the line's first and last words stay
+  // cached, so the line is fetched as two sub-runs around the region), one
+  // crosses a line edge with both ends unaligned.
+  const Rig r("g721", 16);
+  BasicBlockId hot;
+  std::uint64_t hot_count = 0;
+  for (std::size_t i = 0; i < r.program.block_count(); ++i) {
+    const BasicBlockId bb(static_cast<std::uint32_t>(i));
+    if (r.program.block(bb).size < 48) continue;
+    const std::uint64_t n = r.exec.profile.count(bb);
+    if (n > hot_count) {
+      hot = bb;
+      hot_count = n;
+    }
+  }
+  ASSERT_GT(hot_count, 0u);
+  const Addr line = (r.layout.block_addr(hot) + 15) / 16 * 16;
+  const loopcache::RegionSet inside(
+      {loopcache::Region{line + 4, line + 12, 0, "inside"}});
+  const loopcache::RegionSet straddle(
+      {loopcache::Region{line + 8, line + 24, 0, "straddle"},
+       loopcache::Region{line + 28, line + 36, 0, "next"}});
+
+  cachesim::CacheConfig random = oracle_configs()[2];
+  random.line_size = 16;
+  for (const cachesim::CacheConfig& cache :
+       {oracle_configs()[0], oracle_configs()[1], random}) {
+    expect_loopcache_oracle(r, inside, cache);
+    expect_loopcache_oracle(r, straddle, cache);
+  }
+
+  const auto energies = energy::EnergyTable::build(random, 0, 256, 4);
+  const memsim::SimReport rep = memsim::simulate_loopcache_system(
+      r.tp, r.layout, r.exec.walk, inside, random, energies);
+  EXPECT_EQ(rep.counters.lc_accesses, 2 * hot_count);
+  EXPECT_GT(rep.counters.cache_accesses, 0u);
+}
+
+TEST(CompiledStream, LoopCacheReplayRecordsNoStreamTelemetry) {
+  // stream.* describes scratchpad and cache-only replays; a loop-cache
+  // replay records its sim.* / cache.* counters only.
+  const Rig r("adpcm", 16);
+  const cachesim::CacheConfig cache = oracle_configs()[0];
+  const auto energies = energy::EnergyTable::build(cache, 0, 256, 4);
+  loopcache::LoopCacheConfig lc;
+  lc.size = 256;
+  const loopcache::RossResult sel = loopcache::allocate_ross(
+      loopcache::enumerate_regions(r.tp, r.layout, r.exec.profile), lc);
+  obs::MetricsRegistry reg;
+  memsim::SimOptions opt;
+  opt.metrics = &reg;
+  const memsim::SimReport rep = memsim::simulate_loopcache_system(
+      r.tp, r.layout, r.exec.walk, sel.selected, cache, energies, opt);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at(std::string(obs::metric_names::kSimLcAccesses)),
+            rep.counters.lc_accesses);
+  EXPECT_EQ(snap.counters.count(
+                std::string(obs::metric_names::kStreamReplayedWords)),
+            0u);
+  EXPECT_EQ(snap.counters.count(
+                std::string(obs::metric_names::kStreamReplayedRuns)),
+            0u);
 }
 
 TEST(CompiledStream, TwoLevelOracle) {

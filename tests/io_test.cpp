@@ -5,6 +5,7 @@
 #include "casa/cachesim/cache.hpp"
 #include "casa/core/allocator.hpp"
 #include "casa/core/formulation.hpp"
+#include "casa/io/json.hpp"
 #include "casa/io/serialize.hpp"
 
 namespace casa::io {
@@ -355,6 +356,79 @@ TEST(IoResult, RefusesToSerializeFailedResults) {
   std::ostringstream os;
   EXPECT_THROW(write_result_json(os, sample_job(), failed, "adpcm"),
                PreconditionError);
+}
+
+struct U64Case {
+  const char* text;
+  bool ok;
+  std::uint64_t value;
+};
+
+TEST(IoJson, ToU64AcceptsOnlyAsciiDigitsThatFit) {
+  const U64Case cases[] = {
+      {"0", true, 0},
+      {"7", true, 7},
+      {"007", true, 7},
+      {"1745509", true, 1745509},
+      {"18446744073709551615", true, 18446744073709551615ull},
+      {"18446744073709551616", false, 0},   // 2^64: overflow
+      {"99999999999999999999", false, 0},   // overflow in the last digit
+      {"184467440737095516150", false, 0},  // overflow before the last
+      {"", false, 0},
+      {"-1", false, 0},
+      {"+1", false, 0},
+      {" 12", false, 0},
+      {"12 ", false, 0},
+      {"12abc", false, 0},
+      {"1.0", false, 0},
+      {"1e3", false, 0},
+      {"0x10", false, 0},
+      {"-0", false, 0},
+      {"\t5", false, 0},
+  };
+  for (const U64Case& c : cases) {
+    SCOPED_TRACE(std::string("to_u64(\"") + c.text + "\")");
+    if (c.ok) {
+      EXPECT_EQ(to_u64(c.text), c.value);
+    } else {
+      EXPECT_THROW(to_u64(c.text), PreconditionError);
+    }
+  }
+}
+
+TEST(IoJson, NestingIsCappedAtMaxDepth) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  const std::size_t max = JsonReader::kMaxDepth;
+  struct DepthCase {
+    std::string text;
+    bool ok;
+  };
+  const DepthCase cases[] = {
+      {nested(1, '[', ']'), true},
+      {nested(max, '[', ']'), true},
+      {nested(max + 1, '[', ']'), false},
+      {"[" + std::string(max - 1, '[') + "1" + std::string(max, ']'), true},
+      {std::string(300000, '['), false},  // the serve-crash reproducer
+      {std::string(300000, '{'), false},
+  };
+  for (const DepthCase& c : cases) {
+    SCOPED_TRACE("depth case of " + std::to_string(c.text.size()) + " bytes");
+    if (c.ok) {
+      EXPECT_NO_THROW(JsonReader(c.text).parse());
+    } else {
+      EXPECT_THROW(JsonReader(c.text).parse(), PreconditionError);
+    }
+  }
+
+  // Objects count toward the same depth as arrays.
+  std::string objects;
+  for (std::size_t i = 0; i < max; ++i) objects += "{\"k\":";
+  EXPECT_NO_THROW(JsonReader(objects + "1" + std::string(max, '}')).parse());
+  EXPECT_THROW(
+      JsonReader("[" + objects + "1" + std::string(max, '}') + "]").parse(),
+      PreconditionError);
 }
 
 }  // namespace

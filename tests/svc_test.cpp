@@ -521,6 +521,35 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       PreconditionError);
 }
 
+TEST(ProtocolTest, NegativeOrMalformedSizeGetsAnErrorReply) {
+  // A negative, non-integer or overflowing count is refused where the
+  // request is parsed, not left to fail somewhere inside the pipeline; the
+  // service renders the refusal as an error reply naming the token.
+  for (const std::string size : {"-1", "1e3", "18446744073709551616"}) {
+    SCOPED_TRACE("size " + size);
+    const std::string line =
+        R"({"op":"evaluate","workload":"fmult","job":{"kind":"steinke","size":)" +
+        size + "}}";
+    std::ostringstream reply;
+    try {
+      (void)svc::parse_request(line);
+      ADD_FAILURE() << "request accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(size), std::string::npos)
+          << e.what();
+      svc::write_error_line(reply, e.what());
+    }
+    EXPECT_EQ(reply.str().rfind(R"({"reply":"error","message":")", 0), 0u)
+        << reply.str();
+  }
+  EXPECT_THROW(
+      svc::parse_request(
+          R"({"op":"sweep","workload":"fmult","spm":[-256],"flows":["casa"]})"),
+      PreconditionError);
+  EXPECT_THROW(svc::parse_request(std::string(300000, '[')),
+               PreconditionError);
+}
+
 TEST(ProtocolTest, WarmHitResponseIsByteIdenticalUpToProvenance) {
   svc::EvalService service;
   const Job job = Job::steinke_job(small_cache(), 256);

@@ -22,12 +22,17 @@
 # immediately: Debug-vs-Release throughput deltas would otherwise drown any
 # real regression.
 #
-# Additionally runs the solver benchmark (build/bench/ilp_runtime,
-# BM_GenericIlpWarmStarted — the production solver configuration on the
-# largest bundled workload) and gates it on both wall-clock (same
-# tolerance) and the explored-node counter. Node counts are deterministic,
-# so ANY increase over the baseline fails; an intentional search-strategy
-# change must re-record with --update.
+# Additionally runs the solver benchmark (build/bench/ilp_runtime) and
+# gates its search effort. BM_GenericIlpWarmStarted (the production solver
+# configuration on the largest bundled workload) is gated on wall-clock
+# (same tolerance) and the explored-node counter: node counts are
+# deterministic, so ANY increase over the baseline fails. The solver-path
+# entries BM_SpecializedBnB/g721_1024 and BM_GenericIlpTight/g721_512 are
+# gated on exact equality of `nodes` and `simplex_iterations`: the kernels
+# promise a bit-identical search (docs/solver.md, "Bit-exact kernel
+# contract"), so a changed branching order or pivot path fails here even
+# when nothing gets slower. Their wall-clock is reported, not gated. An
+# intentional search-strategy change must re-record with --update.
 #
 # BM_ParallelSweep is measured but only reported, never gated — its
 # items/sec depends on the host's core count, which the baseline can't know.
@@ -57,7 +62,7 @@ done
 
 bench_bin="$build_dir/bench/cachesim_throughput"
 solver_bin="$build_dir/bench/ilp_runtime"
-solver_filter="BM_GenericIlpWarmStarted"
+solver_filter="BM_GenericIlpWarmStarted|BM_SpecializedBnB/g721_1024$|BM_GenericIlpTight/g721_512$"
 baseline="$repo_root/BENCH_cachesim.json"
 min_time="${BENCH_MIN_TIME:-0.2}"
 tolerance="${BENCH_TOLERANCE:-0.20}"
@@ -124,6 +129,7 @@ out = {
         b["name"]: {
             "real_time_ns": round(b["real_time"], 1),
             "nodes": int(b["nodes"]),
+            "simplex_iterations": int(b["simplex_iterations"]),
         }
         for b in solver["benchmarks"] if "nodes" in b
     },
@@ -293,7 +299,9 @@ elif current:
 
 # Solver gate: wall-clock within tolerance, explored nodes never above the
 # recorded baseline (the search is deterministic — more nodes means the
-# search strategy regressed, not the host).
+# search strategy regressed, not the host). The solver-path entries must
+# reproduce their node and pivot counts exactly instead.
+exact_path = {"BM_SpecializedBnB/g721_1024", "BM_GenericIlpTight/g721_512"}
 solver_current = {b["name"]: b for b in solver_run.get("benchmarks", [])
                   if "nodes" in b}
 solver_base = base.get("solver", {})
@@ -303,6 +311,9 @@ if not solver_base:
 if not solver_current:
     failures.append("solver benchmark run produced no node-counted entries")
 print()
+for name in sorted(exact_path - solver_base.keys()):
+    failures.append(f"{name}: solver-path entry missing from the baseline "
+                    "(record with tools/bench_check.sh --update)")
 for name, expected in solver_base.items():
     got = solver_current.get(name)
     if got is None:
@@ -311,7 +322,18 @@ for name, expected in solver_base.items():
     t_ratio = got["real_time"] / expected["real_time_ns"]
     print(f"{name:44} time {expected['real_time_ns']:12.3e} -> "
           f"{got['real_time']:12.3e} ns ({t_ratio:.2f}x)   "
-          f"nodes {expected['nodes']} -> {int(got['nodes'])}")
+          f"nodes {expected['nodes']} -> {int(got['nodes'])}   "
+          f"pivots {expected.get('simplex_iterations', '-')} -> "
+          f"{int(got.get('simplex_iterations', 0))}")
+    if name in exact_path:
+        for counter in ("nodes", "simplex_iterations"):
+            want = expected.get(counter)
+            have = int(got.get(counter, -1))
+            if want != have:
+                failures.append(
+                    f"{name}: {counter} {have}, baseline {want} — the "
+                    "solver path changed (bit-exact kernel contract)")
+        continue
     if t_ratio > 1.0 + tol:
         failures.append(
             f"{name}: {got['real_time']:.3e} ns is "

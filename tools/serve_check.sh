@@ -16,8 +16,9 @@
 #   * run D: a one-shot throw at fault.svc.admit — the faulted request
 #     fails with error_kind "fault", and the same session then answers the
 #     retry cleanly (the service outlives injected admission faults);
-#   * run E: malformed requests (bad JSON, unknown op, empty batch) — one
-#     error line each, and the session keeps serving afterwards.
+#   * run E: malformed requests (bad JSON, unknown op, empty batch, a
+#     negative size, a 300k-deep nested array) — one error line each, and
+#     the session keeps serving afterwards.
 #
 # Registered as a ctest (serve_check); exits 77 (ctest SKIP) on hosts
 # without python3, hard-fails on a missing casa_serve binary.
@@ -125,17 +126,20 @@ print("serve_check: run D ok — faulted request failed alone, service alive")
 EOF
 
 echo "serve_check: run E — malformed requests answered, session survives"
+deep="$(python3 -c 'print("[" * 300000)')"
 printf '%s\n' 'this is not json' '{"op":"teleport"}' \
-  '{"op":"batch","workload":"adpcm","jobs":[]}' '{"op":"stats"}' \
+  '{"op":"batch","workload":"adpcm","jobs":[]}' \
+  '{"op":"evaluate","workload":"adpcm","job":{"kind":"steinke","size":-1}}' \
+  "$deep" '{"op":"stats"}' \
   | "$serve" > "$workdir/e.txt"
 python3 - "$workdir/e.txt" << 'EOF'
 import json, sys
 lines = [json.loads(l) for l in open(sys.argv[1])]
 errors = [l for l in lines if l.get("reply") == "error"]
-assert len(errors) == 3, f"expected 3 error lines, got {len(errors)}"
+assert len(errors) == 5, f"expected 5 error lines, got {len(errors)}"
 stats = [l for l in lines if l.get("reply") == "stats"]
 assert len(stats) == 1, "stats must still be answered after bad requests"
-print("serve_check: run E ok — three error lines, then normal service")
+print("serve_check: run E ok — five error lines, then normal service")
 EOF
 
 echo "serve_check: PASS"
