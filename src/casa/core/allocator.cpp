@@ -10,6 +10,16 @@
 
 namespace casa::core {
 
+namespace {
+
+/// Node budget of the specialized pre-solve whose mask becomes the generic
+/// engine's objective cutoff. Every bundled Table 1 instance the generic
+/// engine solves is proven optimal within 2,403 nodes; a run that exhausts
+/// the budget still returns a feasible mask, just a looser cutoff.
+constexpr std::uint64_t kCutoffNodeBudget = 1u << 14;
+
+}  // namespace
+
 const char* to_string(CasaEngine e) {
   switch (e) {
     case CasaEngine::kAuto:
@@ -61,6 +71,14 @@ AllocationResult CasaAllocator::allocate(const CasaProblem& p) const {
         // sound incumbent before node 1.
         bopt.warm_hint = warm_assignment(
             cm, sp, baseline::knapsack_seed(sp.weight, sp.value, sp.capacity));
+        // The specialized engine's best mask bounds the search. The cutoff
+        // only prunes nodes that cannot reach it, so the generic engine
+        // still chooses among tied optima exactly as an uncut search does
+        // (docs/solver.md, "Objective cutoff").
+        CasaBranchBoundOptions cut;
+        cut.max_nodes = kCutoffNodeBudget;
+        bopt.cutoff_point =
+            warm_assignment(cm, sp, CasaBranchBound(cut).solve(sp).chosen);
       }
       // Location variables decide the allocation; the linearization
       // variables L are implied once the l are fixed — branch l first.

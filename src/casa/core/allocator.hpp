@@ -48,7 +48,9 @@ struct CasaOptions {
   /// depends on the machine's core count).
   unsigned ilp_subtree_depth = 0;
   /// Seed the incumbent from the Steinke knapsack selection and a rounded
-  /// root LP before node 1 (SolveStats::warm_start_used).
+  /// root LP before node 1 (SolveStats::warm_start_used), and bound the
+  /// search with the specialized engine's mask as an objective cutoff.
+  /// false gives the unassisted search.
   bool ilp_warm_start = true;
   /// Run the bound-box presolve before search (SolveStats::presolve_fixed).
   bool ilp_presolve = true;

@@ -1,7 +1,6 @@
 #include "casa/ilp/branch_bound.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <utility>
@@ -28,6 +27,10 @@ struct Node {
 };
 
 double key_of(bool maximize, double obj) { return maximize ? -obj : obj; }
+
+/// Relative slack on an objective key: reduced-cost fixing keeps a column
+/// free within it of the incumbent gap, and a cutoff prunes only beyond it.
+double key_slack(double key) { return 1e-7 * (1.0 + std::abs(key)); }
 
 double objective_value(const Model& m, const std::vector<double>& x) {
   double v = m.objective().constant();
@@ -71,11 +74,16 @@ bool satisfies(const Model& m, const std::vector<double>& x) {
   return true;
 }
 
-void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+/// `x` with every binary rounded to its nearest integer — the point a
+/// satisfies()-validated caller assignment stands for.
+std::vector<double> rounded_binaries(const Model& m, std::vector<double> x) {
+  for (std::size_t j = 0; j < m.var_count(); ++j) {
+    if (m.var(VarId(static_cast<std::uint32_t>(j))).type ==
+        VarType::kBinary) {
+      x[j] = std::round(x[j]);
+    }
   }
+  return x;
 }
 
 struct SubtreeResult {
@@ -87,12 +95,12 @@ struct SubtreeResult {
 };
 
 /// Serial DFS over one bound box — the classic node loop, parameterized by
-/// the pruning key it starts from (warm start) and an optional shared
-/// incumbent key (opportunistic cross-subtree pruning).
+/// the pruning key it starts from (warm start) and the caller's cutoff key,
+/// which joins the prune test but never becomes the incumbent (kInfinity =
+/// no cutoff).
 SubtreeResult explore_subtree(const Model& m, const BranchAndBoundOptions& opt,
                               Node root, std::uint64_t node_budget,
-                              double seed_key,
-                              std::atomic<double>* shared_key) {
+                              double seed_key, double cutoff_key) {
   const bool maximize = m.sense() == Sense::kMaximize;
   obs::Tracer* const tracer = obs::Tracer::current();
   const SimplexSolver lp(opt.lp);
@@ -153,11 +161,7 @@ SubtreeResult explore_subtree(const Model& m, const BranchAndBoundOptions& opt,
       out.hit_limit = true;
       continue;
     }
-    double prune_key = incumbent_key;
-    if (shared_key != nullptr) {
-      prune_key =
-          std::min(prune_key, shared_key->load(std::memory_order_relaxed));
-    }
+    const double prune_key = std::min(incumbent_key, cutoff_key);
     if (key_of(maximize, relax.objective) >= prune_key - opt.gap_tol) {
       ++out.stats.bound_prunes;
       continue;
@@ -195,9 +199,6 @@ SubtreeResult explore_subtree(const Model& m, const BranchAndBoundOptions& opt,
       out.best = std::move(relax);
       out.best_key = incumbent_key;
       ++out.stats.incumbent_updates;
-      if (shared_key != nullptr) {
-        atomic_min(*shared_key, incumbent_key);
-      }
       continue;
     }
 
@@ -276,13 +277,7 @@ Solution BranchAndBound::solve(const Model& m) const {
   double incumbent_key = kInfinity;
   if (opt_.warm_start && !opt_.warm_hint.empty() &&
       satisfies(m, opt_.warm_hint)) {
-    incumbent.values = opt_.warm_hint;
-    for (std::size_t j = 0; j < m.var_count(); ++j) {
-      if (m.var(VarId(static_cast<std::uint32_t>(j))).type ==
-          VarType::kBinary) {
-        incumbent.values[j] = std::round(incumbent.values[j]);
-      }
-    }
+    incumbent.values = rounded_binaries(m, opt_.warm_hint);
     incumbent.objective = objective_value(m, incumbent.values);
     incumbent.status = SolveStatus::kOptimal;
     incumbent_key = key_of(maximize, incumbent.objective);
@@ -379,7 +374,7 @@ Solution BranchAndBound::solve(const Model& m) const {
   if (std::isfinite(incumbent_key) &&
       root_relax.reduced_costs.size() == m.var_count()) {
     const double gap = incumbent_key - root_key;
-    const double fix_tol = 1e-7 * (1.0 + std::abs(incumbent_key));
+    const double fix_tol = key_slack(incumbent_key);
     for (std::size_t j = 0; j < m.var_count(); ++j) {
       if (m.var(VarId(static_cast<std::uint32_t>(j))).type !=
           VarType::kBinary) {
@@ -400,6 +395,18 @@ Solution BranchAndBound::solve(const Model& m) const {
                       static_cast<double>(last_stats_.rc_fixed),
                       obs::trace_names::kCatIlp);
     }
+  }
+
+  // Objective cutoff: the caller's feasible point joins the subtree prune
+  // test only. It is priced after every root decision above, so it never
+  // seeds the incumbent, proves the root optimal, fixes a column or enters
+  // root_gap; pruning only nodes that cannot come within the slack of it
+  // leaves the returned solution that of the uncut search.
+  double cutoff_key = kInfinity;
+  if (!opt_.cutoff_point.empty() && satisfies(m, opt_.cutoff_point)) {
+    const double key = key_of(
+        maximize, objective_value(m, rounded_binaries(m, opt_.cutoff_point)));
+    cutoff_key = key + key_slack(key);
   }
 
   // Subtree decomposition over the first `depth` free binaries, ordered by
@@ -439,9 +446,6 @@ Solution BranchAndBound::solve(const Model& m) const {
   const std::size_t n_subtrees = std::size_t{1} << depth;
   const std::uint64_t budget =
       std::max<std::uint64_t>(1, opt_.max_nodes / n_subtrees);
-  std::atomic<double> shared_key{incumbent_key};
-  std::atomic<double>* shared =
-      opt_.share_incumbent ? &shared_key : nullptr;
 
   std::vector<SubtreeResult> results(n_subtrees);
   // Each subtree runs inside an "ilp.subtree" trace span, flow-linked back
@@ -467,7 +471,7 @@ Solution BranchAndBound::solve(const Model& m) const {
       sub.upper[j] = v;
     }
     results[i] = explore_subtree(m, opt_, std::move(sub), budget,
-                                 incumbent_key, shared);
+                                 incumbent_key, cutoff_key);
   };
 
   const unsigned workers = support::ThreadPool::resolve(opt_.threads);

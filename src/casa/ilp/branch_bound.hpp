@@ -7,10 +7,10 @@
 // small — exactness matters, scalability to industrial MIP does not.
 //
 // The search is preceded by a bound-box presolve (presolve.hpp) and a warm
-// start (caller hint and/or rounded root LP), and can fan the first
-// `subtree_depth` branching levels into 2^depth independent subtrees
-// executed on a support::ThreadPool. See docs/solver.md for the status-code
-// and determinism contracts.
+// start (caller hint and/or rounded root LP), can prune against a caller's
+// objective cutoff, and can fan the first `subtree_depth` branching levels
+// into 2^depth independent subtrees executed on a support::ThreadPool. See
+// docs/solver.md for the status-code, cutoff and determinism contracts.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +43,15 @@ struct BranchAndBoundOptions {
   /// validated against the model's bounds, integrality and constraints and
   /// silently ignored when invalid or when `warm_start` is false.
   std::vector<double> warm_hint;
+  /// Optional caller-provided feasible assignment (sized var_count()) whose
+  /// objective, plus a slack of 1e-7·(1+|objective|), bounds the subtree
+  /// search: a node whose relaxation cannot beat it is pruned. Validated
+  /// like `warm_hint` and silently ignored when invalid. It is never
+  /// returned and never feeds the incumbent, reduced-cost fixing or
+  /// `root_gap`, so it shortens the search without choosing the answer:
+  /// the returned Solution is the uncut search's (docs/solver.md,
+  /// "Objective cutoff"). Only the effort counters can change.
+  std::vector<double> cutoff_point;
   /// Worker threads for the subtree fan-out (0 = hardware concurrency,
   /// 1 = serial). Thread count never changes results or counters — only
   /// `subtree_depth` does.
@@ -52,11 +61,6 @@ struct BranchAndBoundOptions {
   /// (ceil(log2(threads)); 0 when serial). Pin this explicitly to make
   /// solutions and merged SolveStats invariant across thread counts.
   unsigned subtree_depth = 0;
-  /// Let subtrees publish/read a shared atomic incumbent key while running.
-  /// Faster on unbalanced trees, but bound-prune counters (and, on objective
-  /// ties, the returned solution) then depend on timing — off by default to
-  /// keep the determinism contract.
-  bool share_incumbent = false;
   /// A node whose LP relaxation hits its iteration limit is re-solved once
   /// with max_iters scaled by this factor before the truncation is recorded
   /// (SolveStats::lp_limit_retries).

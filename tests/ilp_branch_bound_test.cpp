@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "casa/baseline/steinke.hpp"
+#include "casa/core/casa_branch_bound.hpp"
+#include "casa/core/formulation.hpp"
 #include "casa/ilp/branch_bound.hpp"
 #include "casa/ilp/model.hpp"
 #include "casa/obs/tracer.hpp"
@@ -491,6 +497,240 @@ TEST(BranchAndBoundParallel, TruncatedParallelSearchReportsLimit) {
   opt.warm_start = false;
   const Solution s = BranchAndBound(opt).solve(m);
   EXPECT_EQ(s.status, SolveStatus::kLimit);
+}
+
+// ---------------------------------------------------------------------------
+// Objective cutoff: a caller's feasible point shortens the search but never
+// chooses the answer. The cut search must return the uncut search's solution
+// bit for bit, keep every root-level statistic, and explore no more nodes
+// (docs/solver.md, "Objective cutoff").
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+struct CutoffRun {
+  Solution cut;  ///< the solve with the cutoff
+  std::uint64_t uncut_nodes = 0;
+  std::uint64_t cut_nodes = 0;
+};
+
+/// Solves `m` under `opt` without and with `cutoff` and expects the same
+/// solution and root statistics, and no more nodes, from the cut search.
+CutoffRun expect_cutoff_keeps_solution(const Model& m,
+                                       BranchAndBoundOptions opt,
+                                       const std::vector<double>& cutoff) {
+  opt.cutoff_point.clear();
+  const BranchAndBound uncut(opt);
+  const Solution a = uncut.solve(m);
+  opt.cutoff_point = cutoff;
+  const BranchAndBound cut(opt);
+  const Solution b = cut.solve(m);
+
+  EXPECT_EQ(b.status, a.status);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(b.objective),
+            std::bit_cast<std::uint64_t>(a.objective));
+  EXPECT_EQ(bits_of(b.values), bits_of(a.values));
+  const SolveStats& sa = uncut.last_stats();
+  const SolveStats& sb = cut.last_stats();
+  EXPECT_EQ(sb.presolve_fixed, sa.presolve_fixed);
+  EXPECT_EQ(sb.rc_fixed, sa.rc_fixed);
+  EXPECT_EQ(sb.warm_start_used, sa.warm_start_used);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sb.root_gap),
+            std::bit_cast<std::uint64_t>(sa.root_gap));
+  EXPECT_EQ(sb.subtrees, sa.subtrees);
+  EXPECT_LE(sb.nodes, sa.nodes);
+  return {b, sa.nodes, sb.nodes};
+}
+
+/// Random CASA savings problem. With `ties`, the first items are duplicated
+/// (same value and weight, edges copied to the duplicate) and every edge is
+/// doubled, so the instance has several optimal masks and degenerate LPs.
+core::SavingsProblem random_savings(std::uint64_t seed, bool ties) {
+  Rng rng(seed);
+  core::SavingsProblem sp;
+  const std::size_t base = 8;
+  for (std::size_t k = 0; k < base; ++k) {
+    sp.value.push_back(rng.next_unit() * 50.0);
+    sp.weight.push_back(4 * (1 + rng.next_below(16)));
+  }
+  for (std::size_t e = 0; e < 9; ++e) {
+    const auto a = static_cast<std::uint32_t>(rng.next_below(base));
+    auto b = static_cast<std::uint32_t>(rng.next_below(base));
+    if (b == a) b = static_cast<std::uint32_t>((b + 1) % base);
+    sp.edges.push_back({std::min(a, b), std::max(a, b),
+                        rng.next_unit() * 120.0});
+  }
+  if (ties) {
+    const std::size_t original_edges = sp.edges.size();
+    for (std::uint32_t src = 0; src < 2; ++src) {
+      const auto dup = static_cast<std::uint32_t>(sp.value.size());
+      sp.value.push_back(sp.value[src]);
+      sp.weight.push_back(sp.weight[src]);
+      for (std::size_t e = 0; e < original_edges; ++e) {
+        const core::SavingsProblem::Edge edge = sp.edges[e];
+        if (edge.a == src || edge.b == src) {
+          const std::uint32_t other = edge.a == src ? edge.b : edge.a;
+          sp.edges.push_back({other, dup, edge.weight});
+        }
+      }
+    }
+    const std::size_t n = sp.edges.size();
+    for (std::size_t e = 0; e < n; ++e) sp.edges.push_back(sp.edges[e]);
+  }
+  sp.capacity = 48 + 4 * rng.next_below(24);
+  for (std::size_t k = 0; k < sp.item_count(); ++k) {
+    sp.object_of.push_back(MemoryObjectId(static_cast<std::uint32_t>(k)));
+    sp.all_cached_energy += sp.value[k] * 2.0;
+  }
+  for (const auto& e : sp.edges) sp.all_cached_energy += e.weight;
+  return sp;
+}
+
+/// The allocator's generic-engine options: knapsack warm hint, location
+/// variables branched first, fan-out pinned at depth 3.
+BranchAndBoundOptions allocator_options(const core::CasaModel& cm,
+                                        const core::SavingsProblem& sp,
+                                        bool warm, unsigned threads) {
+  BranchAndBoundOptions opt;
+  opt.threads = threads;
+  opt.subtree_depth = 3;
+  opt.warm_start = warm;
+  if (warm) {
+    opt.warm_hint = core::warm_assignment(
+        cm, sp, baseline::knapsack_seed(sp.weight, sp.value, sp.capacity));
+  }
+  opt.branch_priority.assign(cm.model.var_count(), 0);
+  for (const VarId l : cm.l_vars) opt.branch_priority[l.index()] = 1;
+  return opt;
+}
+
+TEST(BranchAndBoundCutoff, SavingsProblemsKeepTheUncutSolution) {
+  std::uint64_t uncut_nodes = 0, cut_nodes = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const bool ties : {false, true}) {
+      const core::SavingsProblem sp = random_savings(seed * 977, ties);
+      const core::CasaBranchBoundResult best = core::CasaBranchBound().solve(sp);
+      ASSERT_TRUE(best.exact);
+      for (const core::Linearization lin :
+           {core::Linearization::kTight, core::Linearization::kPaper}) {
+        const core::CasaModel cm = core::build_casa_model(sp, lin);
+        const std::vector<double> cutoff =
+            core::warm_assignment(cm, sp, best.chosen);
+        for (const bool warm : {true, false}) {
+          for (const unsigned threads : {1u, 8u}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " ties " +
+                         std::to_string(ties) + " paper " +
+                         std::to_string(lin == core::Linearization::kPaper) +
+                         " warm " + std::to_string(warm) + " threads " +
+                         std::to_string(threads));
+            const CutoffRun run = expect_cutoff_keeps_solution(
+                cm.model, allocator_options(cm, sp, warm, threads), cutoff);
+            uncut_nodes += run.uncut_nodes;
+            cut_nodes += run.cut_nodes;
+            // Exactness: the cut search's optimum is the specialized one.
+            ASSERT_EQ(run.cut.status, SolveStatus::kOptimal);
+            EXPECT_NEAR(cm.objective_offset + run.cut.objective,
+                        sp.all_cached_energy - best.saving, 1e-6);
+          }
+        }
+      }
+    }
+  }
+  // The cutoff must actually prune, or the comparisons above prove nothing.
+  EXPECT_LT(cut_nodes, uncut_nodes);
+}
+
+TEST(BranchAndBoundCutoff, MaximizeMipKeepsTheUncutSolution) {
+  // Two knapsack rows over 14 binaries plus a continuous bonus capped by
+  // the first row's slack, maximized: the cutoff key must be the negated
+  // objective, exactly like the incumbent key.
+  Rng rng(4242);
+  Model m;
+  LinExpr cap, cap2, obj;
+  std::vector<double> w, w2;
+  for (int j = 0; j < 14; ++j) {
+    const VarId x = m.add_binary("x" + std::to_string(j));
+    w.push_back(2.0 + rng.next_unit() * 6.0);
+    w2.push_back(1.0 + rng.next_unit() * 4.0);
+    cap.add(x, w.back());
+    cap2.add(x, w2.back());
+    obj.add(x, 1.0 + rng.next_unit() * 9.0);
+  }
+  const VarId y = m.add_continuous("y", 0.0, 3.0);
+  cap.add(y, 1.0);
+  obj.add(y, 0.5);
+  m.add_constraint("cap", std::move(cap), Rel::kLessEq, 24.0);
+  m.add_constraint("cap2", std::move(cap2), Rel::kLessEq, 14.0);
+  m.set_objective(Sense::kMaximize, std::move(obj));
+
+  // Cutoffs: the optimum itself (the tightest possible), and a first-fit
+  // selection in index order (feasible, but not optimal).
+  BranchAndBoundOptions base;
+  base.subtree_depth = 3;
+  const Solution opt_sol = BranchAndBound(base).solve(m);
+  ASSERT_EQ(opt_sol.status, SolveStatus::kOptimal);
+  std::vector<double> greedy(m.var_count(), 0.0);
+  double used = 0.0, used2 = 0.0;
+  for (int j = 0; j < 14; ++j) {
+    if (used + w[j] <= 24.0 && used2 + w2[j] <= 14.0) {
+      greedy[j] = 1.0;
+      used += w[j];
+      used2 += w2[j];
+    }
+  }
+
+  const std::pair<const char*, std::vector<double>> cutoffs[] = {
+      {"optimum", opt_sol.values}, {"greedy", greedy}};
+  std::uint64_t uncut_nodes = 0, cut_nodes = 0;
+  for (const auto& [name, cutoff] : cutoffs) {
+    for (const bool warm : {true, false}) {
+      for (const unsigned threads : {1u, 8u}) {
+        SCOPED_TRACE(std::string(name) + " warm " + std::to_string(warm) +
+                     " threads " + std::to_string(threads));
+        BranchAndBoundOptions opt = base;
+        opt.warm_start = warm;
+        opt.threads = threads;
+        const CutoffRun run = expect_cutoff_keeps_solution(m, opt, cutoff);
+        uncut_nodes += run.uncut_nodes;
+        cut_nodes += run.cut_nodes;
+      }
+    }
+  }
+  EXPECT_LT(cut_nodes, uncut_nodes);
+}
+
+TEST(BranchAndBoundCutoff, OverCapacityPointIsIgnored) {
+  // Placing every item overflows the scratchpad, so the lifted point
+  // violates the capacity row: the solver must ignore it and run the uncut
+  // search, node for node, to the same exact optimum.
+  const core::SavingsProblem sp = random_savings(31337, true);
+  Bytes total = 0;
+  for (const Bytes w : sp.weight) total += w;
+  ASSERT_GT(total, sp.capacity);
+  const core::CasaBranchBoundResult best = core::CasaBranchBound().solve(sp);
+  for (const core::Linearization lin :
+       {core::Linearization::kTight, core::Linearization::kPaper}) {
+    const core::CasaModel cm = core::build_casa_model(sp, lin);
+    const std::vector<double> overfull = core::warm_assignment(
+        cm, sp, std::vector<bool>(sp.item_count(), true));
+    for (const unsigned threads : {1u, 8u}) {
+      BranchAndBoundOptions opt = allocator_options(cm, sp, true, threads);
+      const BranchAndBound uncut(opt);
+      const Solution a = uncut.solve(cm.model);
+      opt.cutoff_point = overfull;
+      const BranchAndBound cut(opt);
+      const Solution b = cut.solve(cm.model);
+      ASSERT_EQ(b.status, SolveStatus::kOptimal);
+      EXPECT_EQ(bits_of(b.values), bits_of(a.values));
+      EXPECT_EQ(cut.last_stats(), uncut.last_stats());
+      EXPECT_NEAR(cm.objective_offset + b.objective,
+                  sp.all_cached_energy - best.saving, 1e-6);
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 // request ends with a `done` line. The Workbench for a workload is built
 // once (the profiling run) and reused for the life of the process — the
 // point of serving instead of re-running casa_cli per configuration.
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -42,6 +43,11 @@
 using namespace casa;
 
 namespace {
+
+/// Longest request line the TCP loop buffers, newline excluded. A longer
+/// line is answered with one error line and discarded up to its newline;
+/// the connection keeps serving.
+constexpr std::size_t kMaxTcpLineBytes = std::size_t{1} << 20;
 
 /// Handles one request line; the reply text goes to `os` (responses for a
 /// request are rendered atomically so a TCP client never sees a torn
@@ -87,6 +93,16 @@ void serve_stream(svc::EvalService& service, std::istream& in,
   }
 }
 
+/// Writes all of `text` to `fd`; gives up silently when the peer is gone.
+void send_all(int fd, const std::string& text) {
+  std::size_t sent = 0;
+  while (sent < text.size()) {
+    const ssize_t w = ::write(fd, text.data() + sent, text.size() - sent);
+    if (w <= 0) return;
+    sent += static_cast<std::size_t>(w);
+  }
+}
+
 /// Minimal single-client TCP loop: accept, serve line-by-line until the
 /// client disconnects, accept the next. Returns only on accept failure.
 int serve_tcp(svc::EvalService& service, std::uint16_t port) {
@@ -106,30 +122,43 @@ int serve_tcp(svc::EvalService& service, std::uint16_t port) {
   for (;;) {
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) break;
-    std::string pending;
+    std::string line;         // the current line's bytes so far
+    bool overlong = false;    // the current line passed the limit: drop it
     char buf[4096];
     for (;;) {
       const ssize_t n = ::read(client, buf, sizeof buf);
       if (n <= 0) break;
-      pending.append(buf, static_cast<std::size_t>(n));
-      std::size_t start = 0;
-      for (std::size_t nl = pending.find('\n', start);
-           nl != std::string::npos; nl = pending.find('\n', start)) {
-        const std::string line = pending.substr(start, nl - start);
-        start = nl + 1;
-        if (line.empty()) continue;
-        std::ostringstream reply;
-        handle_line(service, line, reply);
-        const std::string text = std::move(reply).str();
-        std::size_t sent = 0;
-        while (sent < text.size()) {
-          const ssize_t w =
-              ::write(client, text.data() + sent, text.size() - sent);
-          if (w <= 0) break;
-          sent += static_cast<std::size_t>(w);
+      const char* p = buf;
+      const char* const end = buf + n;
+      while (p < end) {
+        const auto* nl = static_cast<const char*>(
+            std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+        const char* const stop = nl != nullptr ? nl : end;
+        if (!overlong) {
+          if (line.size() + static_cast<std::size_t>(stop - p) >
+              kMaxTcpLineBytes) {
+            overlong = true;
+            line.clear();
+            std::ostringstream reply;
+            svc::write_error_line(
+                reply, "request line exceeds " +
+                           std::to_string(kMaxTcpLineBytes) +
+                           " bytes; discarded up to its newline");
+            send_all(client, std::move(reply).str());
+          } else {
+            line.append(p, stop);
+          }
         }
+        if (nl == nullptr) break;
+        p = nl + 1;
+        if (!overlong && !line.empty()) {
+          std::ostringstream reply;
+          handle_line(service, line, reply);
+          send_all(client, std::move(reply).str());
+        }
+        overlong = false;
+        line.clear();
       }
-      pending.erase(0, start);
     }
     ::close(client);
   }

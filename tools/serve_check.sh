@@ -18,7 +18,10 @@
 #     retry cleanly (the service outlives injected admission faults);
 #   * run E: malformed requests (bad JSON, unknown op, empty batch, a
 #     negative size, a 300k-deep nested array) — one error line each, and
-#     the session keeps serving afterwards.
+#     the session keeps serving afterwards;
+#   * run F: over --tcp, a request line of exactly the 1 MiB line limit is
+#     served, a longer one answers with one error line and is discarded up
+#     to its newline, and the same connection keeps serving.
 #
 # Registered as a ctest (serve_check); exits 77 (ctest SKIP) on hosts
 # without python3, hard-fails on a missing casa_serve binary.
@@ -140,6 +143,42 @@ assert len(errors) == 5, f"expected 5 error lines, got {len(errors)}"
 stats = [l for l in lines if l.get("reply") == "stats"]
 assert len(stats) == 1, "stats must still be answered after bad requests"
 print("serve_check: run E ok — five error lines, then normal service")
+EOF
+
+echo "serve_check: run F — overlong TCP request line refused, connection survives"
+python3 - "$serve" << 'EOF'
+import json, socket, subprocess, sys, time
+serve = sys.argv[1]
+probe = socket.socket()
+probe.bind(("127.0.0.1", 0))
+port = probe.getsockname()[1]
+probe.close()
+server = subprocess.Popen([serve, f"--tcp={port}"],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+try:
+    deadline = time.time() + 30
+    while True:
+        try:
+            conn = socket.create_connection(("127.0.0.1", port), timeout=60)
+            break
+        except OSError:
+            if time.time() > deadline or server.poll() is not None:
+                raise
+            time.sleep(0.05)
+    limit = 1 << 20
+    stats = b'{"op":"stats"}'
+    at_limit = b" " * (limit - len(stats)) + stats
+    conn.sendall(at_limit + b"\n" + b"x" * (2 * limit) + b"\n" + stats + b"\n")
+    reader = conn.makefile("rb")
+    replies = [json.loads(reader.readline()) for _ in range(3)]
+    conn.close()
+finally:
+    server.terminate()
+    server.wait(timeout=10)
+kinds = [r["reply"] for r in replies]
+assert kinds == ["stats", "error", "stats"], replies
+assert "exceeds" in replies[1]["message"], replies[1]
+print("serve_check: run F ok — 1 MiB line served, longer line refused once")
 EOF
 
 echo "serve_check: PASS"
