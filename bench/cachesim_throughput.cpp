@@ -6,7 +6,10 @@
 // The compiled-stream pairs (BM_ConflictGraphBuild vs …WordRef,
 // BM_HierarchySimulation vs …WordRef) measure the line-granular fetch
 // stream against the word-granular reference on identical inputs; their
-// items/sec ratio is the compiled-stream speedup. BM_ParallelSweep runs a
+// items/sec ratio is the compiled-stream speedup. The one-pass pairs
+// (BM_StackSweep vs …PerConfigRef, BM_ConflictGraphFamily vs
+// …PerConfigRef) measure one stack replay of a geometry family against one
+// replay per configuration. BM_ParallelSweep runs a
 // fixed CASA design-space sweep through Workbench::evaluate_batch at 1/2/4
 // threads; on a multi-core host items/sec should scale near-linearly.
 // tools/bench_check.sh compares all of these against BENCH_cachesim.json.
@@ -269,6 +272,59 @@ void BM_StackSweepPerConfigRef(benchmark::State& state) {
       static_cast<std::int64_t>(s.total_words * family.configs.size()));
 }
 
+// The 12-geometry sweep family a CASA design-space sweep builds graphs
+// for: I-cache {1, 2, 4, 8} KiB x associativity {1, 2, 4} at 16-byte lines.
+std::vector<cachesim::CacheConfig> graph_family() {
+  std::vector<cachesim::CacheConfig> configs;
+  for (const Bytes kib : {1u, 2u, 4u, 8u}) {
+    for (const unsigned assoc : {1u, 2u, 4u}) {
+      cachesim::CacheConfig cfg;
+      cfg.size = kib * 1024;
+      cfg.line_size = 16;
+      cfg.associativity = assoc;
+      configs.push_back(cfg);
+    }
+  }
+  return configs;
+}
+
+// Every conflict graph of the family from one stack replay of the mpeg
+// stream. Items = profiled word fetches x configurations, so the items/sec
+// ratio to BM_ConflictGraphFamilyPerConfigRef is the family-build speedup
+// tools/bench_check.sh gates (>= 2x).
+void BM_ConflictGraphFamily(benchmark::State& state) {
+  const Pipeline& p = pipeline();
+  const std::vector<cachesim::CacheConfig> configs = graph_family();
+  const trace::CompiledStream stream =
+      traceopt::compile_fetch_stream(p.tp, p.layout, 16);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        conflict::build_conflict_graphs(p.tp, stream, p.exec.walk, configs));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(p.exec.total_fetches * configs.size()));
+}
+
+// The same 12 graphs built one configuration at a time.
+void BM_ConflictGraphFamilyPerConfigRef(benchmark::State& state) {
+  const Pipeline& p = pipeline();
+  const std::vector<cachesim::CacheConfig> configs = graph_family();
+  const trace::CompiledStream stream =
+      traceopt::compile_fetch_stream(p.tp, p.layout, 16);
+  for (auto _ : state) {
+    for (const cachesim::CacheConfig& cfg : configs) {
+      conflict::BuildOptions opt;
+      opt.cache = cfg;
+      benchmark::DoNotOptimize(
+          conflict::build_conflict_graph(p.tp, stream, p.exec.walk, opt));
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(p.exec.total_fetches * configs.size()));
+}
+
 // A fixed 8-point CASA sweep on adpcm through Workbench::evaluate_batch;
 // the thread count is the benchmark argument. Items = sweep points evaluated;
 // on a multi-core host items/sec should rise near-linearly with the
@@ -425,6 +481,8 @@ BENCHMARK(BM_HierarchySimulation)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationWordRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackSweepPerConfigRef)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConflictGraphFamily)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConflictGraphFamilyPerConfigRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -65,16 +65,21 @@ StackSimulator::StackSimulator(ConfigFamily family, std::uint64_t seed)
     }
     return;
   }
-  k_max_ = log2_pow2(family_.max_sets());
   a_max_ = family_.max_associativity();
-  heads_.resize(k_max_ + 1);
-  for (unsigned k = 0; k <= k_max_; ++k) {
-    heads_[k].assign(std::size_t{1} << k, kNil);
+  for (const CacheConfig& cfg : family_.configs) {
+    levels_.push_back(log2_pow2(cfg.sets()));
   }
-  next_.resize(k_max_ + 1);
-  prev_.resize(k_max_ + 1);
-  reuse_hist_.assign(static_cast<std::size_t>(k_max_ + 1) * (a_max_ + 1), 0);
-  cold_hist_.assign(static_cast<std::size_t>(k_max_ + 1) * (a_max_ + 1), 0);
+  std::sort(levels_.begin(), levels_.end());
+  levels_.erase(std::unique(levels_.begin(), levels_.end()), levels_.end());
+  for (const unsigned k : levels_) {
+    set_mask_.push_back((std::size_t{1} << k) - 1);
+    heads_.emplace_back(std::size_t{1} << k, kNil);
+  }
+  next_.resize(levels_.size());
+  prev_.resize(levels_.size());
+  above_.assign(a_max_, kNil);
+  reuse_hist_.assign(levels_.size() * (a_max_ + 1), 0);
+  cold_hist_.assign(levels_.size() * (a_max_ + 1), 0);
 }
 
 void StackSimulator::access_line(Addr addr, std::uint32_t words) {
@@ -82,64 +87,17 @@ void StackSimulator::access_line(Addr addr, std::uint32_t words) {
     for (Cache& cache : fallback_) cache.access_line(addr, words);
     return;
   }
+  NoObserver none;
+  access_line(addr, words, none);
+}
 
-  total_words_ += words;
-  const std::uint64_t line = addr >> offset_shift_;
-
-  if (line >= line_id_.size()) {
-    line_id_.resize(
-        std::max<std::size_t>(line + 1, line_id_.size() * 2), 0);
-  }
-  const std::uint32_t slot = line_id_[line];
-  const bool reuse = slot != 0;
-  std::uint32_t node;
-  if (reuse) {
-    node = slot - 1;
-  } else {
-    // First touch: mint a dense id with unlinked handles at every level.
-    ++cold_runs_;
-    node = static_cast<std::uint32_t>(next_[0].size());
-    line_id_[line] = node + 1;
-    for (unsigned k = 0; k <= k_max_; ++k) {
-      next_[k].push_back(kNil);
-      prev_[k].push_back(kNil);
-    }
-  }
-
-  // At level k the accessed line's set list holds, MRU-first, the distinct
-  // lines of its 2^k-set cache set. Its position there is the per-set stack
-  // distance; positions >= a_max_ miss in every family member, so each walk
-  // stops after at most a_max_ nodes. A first touch's "distance" is the
-  // set's distinct-line count (decides whether the fill still found an
-  // invalid way), equally capped. The splice never needs the walk to reach
-  // the node: its level-k handles unlink it in O(1) from any depth.
-  std::uint64_t* const hist = (reuse ? reuse_hist_ : cold_hist_).data();
-  for (unsigned k = 0; k <= k_max_; ++k) {
-    std::uint32_t* const nxt = next_[k].data();
-    std::uint32_t* const prv = prev_[k].data();
-    std::uint32_t& head =
-        heads_[k][static_cast<std::size_t>(line) & ((std::size_t{1} << k) - 1)];
-
-    unsigned d = 0;
-    std::uint32_t cur = head;
-    while (cur != kNil && cur != node && d < a_max_) {
-      ++d;
-      cur = nxt[cur];
-    }
-    ++hist[static_cast<std::size_t>(k) * (a_max_ + 1) + d];
-
-    if (head == node) continue;  // already MRU
-    if (reuse) {
-      const std::uint32_t p = prv[node];
-      const std::uint32_t n = nxt[node];
-      nxt[p] = n;
-      if (n != kNil) prv[n] = p;
-    }
-    nxt[node] = head;
-    if (head != kNil) prv[head] = node;
-    prv[node] = kNil;
-    head = node;
-  }
+std::size_t StackSimulator::level_of(unsigned sets) const {
+  CASA_CHECK(is_pow2(sets), "set count must be a power of two");
+  const auto it =
+      std::lower_bound(levels_.begin(), levels_.end(), log2_pow2(sets));
+  CASA_CHECK(it != levels_.end() && *it == log2_pow2(sets),
+             "no family member has this set count");
+  return static_cast<std::size_t>(it - levels_.begin());
 }
 
 StackCounters StackSimulator::counters(const CacheConfig& config) const {
@@ -159,9 +117,8 @@ StackCounters StackSimulator::counters(const CacheConfig& config) const {
   }
 
   config.validate();
-  const unsigned k = log2_pow2(config.sets());
+  const std::size_t level = level_of(config.sets());
   const unsigned assoc = config.associativity;
-  CASA_CHECK(k <= k_max_, "set count exceeds the family's maximum");
   CASA_CHECK(assoc >= 1 && assoc <= a_max_,
              "associativity exceeds the family's maximum");
 
@@ -169,10 +126,8 @@ StackCounters StackSimulator::counters(const CacheConfig& config) const {
   // then always evicts: >= assoc distinct lines already filled the set). A
   // first touch always misses and evicts iff the set had already seen
   // >= assoc distinct lines (no invalid way left).
-  const std::uint64_t* reuse =
-      reuse_hist_.data() + static_cast<std::size_t>(k) * (a_max_ + 1);
-  const std::uint64_t* cold =
-      cold_hist_.data() + static_cast<std::size_t>(k) * (a_max_ + 1);
+  const std::uint64_t* reuse = reuse_hist_.data() + level * (a_max_ + 1);
+  const std::uint64_t* cold = cold_hist_.data() + level * (a_max_ + 1);
   std::uint64_t reuse_misses = 0;
   std::uint64_t cold_evictions = 0;
   for (unsigned d = assoc; d <= a_max_; ++d) {

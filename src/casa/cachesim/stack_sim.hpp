@@ -8,10 +8,12 @@
 // inclusive). With power-of-two set counts the set index is the line
 // number's low bits, so the simulator keeps one LRU recency list per
 // (set-count level k, set index) — 2^k short lists per level — and each
-// access reads its per-set stack distance at every level at once. Two
-// properties keep the per-access cost tiny: distances only matter up to
-// the family's maximum associativity A (everything deeper misses in every
-// member), so each level's walk stops after at most A nodes; and per-level
+// access reads its per-set stack distance at every level at once. Only the
+// levels some member uses are kept: a {16, 64}-set family walks two levels,
+// not seven. Two properties keep the per-access cost tiny: distances only
+// matter up to the family's maximum associativity A (everything deeper
+// misses in every member), so each level's walk stops after at most A
+// nodes — the cost per access is bounded by levels used x A; and per-level
 // node handles make the move-to-front splice O(1) without ever walking to
 // a deep node. From the per-level distance histograms the exact
 // hit/miss/eviction counters for the whole (set count x associativity)
@@ -19,16 +21,24 @@
 // configuration (the oracle suite in tests/stack_sim_test.cpp holds this
 // across every bundled workload).
 //
+// The walk itself is a template over a per-access observer: the histogram
+// update is the default observer, and conflict::build_conflict_graphs
+// plugs in one that also reads which line each member evicts (the line at
+// depth A-1 of the set's list), so every conflict graph of a family comes
+// from the same single walk.
+//
 // Replacement policies without the inclusion property (FIFO, round-robin,
 // random) cannot be folded into one pass; for those the simulator
 // transparently falls back to a bank of per-configuration Cache instances
 // behind the same API, so callers never special-case the policy.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "casa/cachesim/cache.hpp"
+#include "casa/support/error.hpp"
 #include "casa/support/units.hpp"
 
 namespace casa::cachesim {
@@ -77,11 +87,28 @@ class StackSimulator {
   /// all inside the memory line containing `addr`.
   void access_line(Addr addr, std::uint32_t words);
 
+  /// One-pass mode only: access_line that also reports the walk to `obs`
+  /// (counters() stays exact either way). After the walk at each kept
+  /// level the engine calls
+  ///
+  ///   obs.on_level(level, line, reuse, distance, above)
+  ///
+  /// with `level` an index into levels(); `line` the accessed line's dense
+  /// id (ids are minted 0, 1, 2, ... in first-touch order); `reuse` false
+  /// on a first touch; `distance` the line's per-set stack distance — on a
+  /// first touch the set's distinct-line count — capped at the family's
+  /// maximum associativity; and `above` the dense ids of the `distance` lines
+  /// above it in its set's recency list, MRU first. An observer whose
+  /// static member kWantsAbove is false gets no ids and the walk records
+  /// none.
+  template <class Observer>
+  void access_line(Addr addr, std::uint32_t words, Observer& obs);
+
   /// Counters for one configuration, as if a fresh Cache had replayed the
-  /// whole access sequence. In one-pass (LRU) mode any configuration with
-  /// the family's line size and policy, a power-of-two set count <= the
-  /// family's maximum and an associativity <= the family's maximum may be
-  /// queried — membership in `family().configs` is not required. In
+  /// whole access sequence. In one-pass (LRU) mode the configuration needs
+  /// the family's line size and policy, a set count that some member has
+  /// (only those levels are kept) and an associativity <= the family's
+  /// maximum — membership in `family().configs` is not required. In
   /// fallback mode the configuration must be a family member.
   StackCounters counters(const CacheConfig& config) const;
 
@@ -91,28 +118,46 @@ class StackSimulator {
 
   const ConfigFamily& family() const { return family_; }
 
+  /// One-pass mode: log2 of every set count some member has, ascending,
+  /// each once — the levels the engine keeps and walks.
+  const std::vector<unsigned>& levels() const { return levels_; }
+  /// Index of `sets` in levels(); throws PreconditionError when no member
+  /// has that set count.
+  std::size_t level_of(unsigned sets) const;
+
   /// Total word fetches replayed so far (identical for every config).
   std::uint64_t total_words() const { return total_words_; }
 
  private:
+  /// The observer of plain access_line calls.
+  struct NoObserver {
+    static constexpr bool kWantsAbove = false;
+    void on_level(std::size_t, std::uint32_t, bool, unsigned,
+                  const std::uint32_t*) const {}
+  };
+
   ConfigFamily family_;
   unsigned offset_shift_ = 0;  ///< log2(line_size)
-  unsigned k_max_ = 0;         ///< log2(max set count)
   unsigned a_max_ = 1;         ///< max associativity
 
-  // One-pass engine state. Level k (k in [0, k_max_]) models the 2^k-set
-  // member geometries: one LRU recency list per set, stitched through
-  // per-line node handles (next_[k], prev_[k], indexed by dense line id) so
-  // a move-to-front splice at any depth is O(1). Lines never leave a list,
-  // so each level's lists partition the distinct lines touched so far.
+  // One-pass engine state. Kept level i (set count 2^levels_[i]) models
+  // the member geometries with that many sets: one LRU recency list per
+  // set, stitched through per-line node handles (next_[i], prev_[i],
+  // indexed by dense line id) so a move-to-front splice at any depth is
+  // O(1). Lines never leave a list, so each level's lists partition the
+  // distinct lines touched so far.
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-  std::vector<std::vector<std::uint32_t>> heads_;  ///< [k][set] -> line id
-  std::vector<std::vector<std::uint32_t>> next_;   ///< [k][line id]
-  std::vector<std::vector<std::uint32_t>> prev_;   ///< [k][line id]
+  std::vector<unsigned> levels_;
+  std::vector<std::size_t> set_mask_;              ///< [i] = 2^levels_[i] - 1
+  std::vector<std::vector<std::uint32_t>> heads_;  ///< [i][set] -> line id
+  std::vector<std::vector<std::uint32_t>> next_;   ///< [i][line id]
+  std::vector<std::vector<std::uint32_t>> prev_;   ///< [i][line id]
+  std::vector<std::uint32_t> above_;               ///< walk scratch, a_max_
   /// line number -> dense id + 1 (0 = never touched). Line numbers are
   /// layout offsets / line_size, so this stays small and O(1) beats hashing.
   std::vector<std::uint32_t> line_id_;
-  /// Distance histograms, (k_max_+1) x (a_max_+1), distances capped at
+  std::uint32_t lines_ = 0;  ///< dense ids minted so far
+  /// Distance histograms, levels_.size() x (a_max_+1), distances capped at
   /// a_max_. reuse_: accesses whose line was on the stack; cold_: first
   /// touches (their "distance" is the set's distinct-line count, which
   /// decides whether the fill still found an invalid way).
@@ -125,5 +170,71 @@ class StackSimulator {
   /// family_.configs). Empty in one-pass mode.
   std::vector<Cache> fallback_;
 };
+
+template <class Observer>
+void StackSimulator::access_line(Addr addr, std::uint32_t words,
+                                 Observer& obs) {
+  CASA_CHECK(one_pass(), "observed replay needs the one-pass (LRU) engine");
+  total_words_ += words;
+  const std::uint64_t line = addr >> offset_shift_;
+
+  if (line >= line_id_.size()) {
+    line_id_.resize(
+        std::max<std::size_t>(line + 1, line_id_.size() * 2), 0);
+  }
+  const std::uint32_t slot = line_id_[line];
+  const bool reuse = slot != 0;
+  std::uint32_t node;
+  if (reuse) {
+    node = slot - 1;
+  } else {
+    // First touch: mint a dense id with unlinked handles at every level.
+    ++cold_runs_;
+    node = lines_++;
+    line_id_[line] = node + 1;
+    for (std::size_t i = 0; i < levels_.size(); ++i) {
+      next_[i].push_back(kNil);
+      prev_[i].push_back(kNil);
+    }
+  }
+
+  // At each kept level the accessed line's set list holds, MRU-first, the
+  // distinct lines of its cache set. Its position there is the per-set
+  // stack distance; positions >= a_max_ miss in every family member, so
+  // each walk stops after at most a_max_ nodes. A first touch's "distance"
+  // is the set's distinct-line count (decides whether the fill still found
+  // an invalid way), equally capped. The splice never needs the walk to
+  // reach the node: its level handles unlink it in O(1) from any depth.
+  std::uint64_t* const hist = (reuse ? reuse_hist_ : cold_hist_).data();
+  std::uint32_t* const above = above_.data();
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    std::uint32_t* const nxt = next_[i].data();
+    std::uint32_t* const prv = prev_[i].data();
+    std::uint32_t& head =
+        heads_[i][static_cast<std::size_t>(line) & set_mask_[i]];
+
+    unsigned d = 0;
+    std::uint32_t cur = head;
+    while (cur != kNil && cur != node && d < a_max_) {
+      if constexpr (Observer::kWantsAbove) above[d] = cur;
+      ++d;
+      cur = nxt[cur];
+    }
+    ++hist[i * (a_max_ + 1) + d];
+    obs.on_level(i, node, reuse, d, above);
+
+    if (head == node) continue;  // already MRU
+    if (reuse) {
+      const std::uint32_t p = prv[node];
+      const std::uint32_t n = nxt[node];
+      nxt[p] = n;
+      if (n != kNil) prv[n] = p;
+    }
+    nxt[node] = head;
+    if (head != kNil) prv[head] = node;
+    prv[node] = kNil;
+    head = node;
+  }
+}
 
 }  // namespace casa::cachesim

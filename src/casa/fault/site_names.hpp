@@ -31,6 +31,9 @@ inline constexpr std::string_view kSolverAllocate = "fault.solver.allocate";
 // ---- one-pass sweep engine ----
 /// Start of a shared SweepPlanner stack pass (arg = representative job).
 inline constexpr std::string_view kSweepStackPass = "fault.sweep.stack_pass";
+/// Start of a shared SweepPlanner family conflict-graph build (arg =
+/// representative job).
+inline constexpr std::string_view kSweepGraphPass = "fault.sweep.graph_pass";
 
 // ---- artifact I/O (guarded writes; see obs::write_artifact_guarded) ----
 inline constexpr std::string_view kIoMetricsWrite = "fault.io.metrics_write";
@@ -49,8 +52,8 @@ inline constexpr std::string_view kSvcCacheLoad = "fault.svc.cache_load";
 /// casa_lint and iterated by the fault-matrix test.
 inline constexpr std::string_view kAll[] = {
     kSimPrepare,     kSimFinish,    kSolverAllocate, kSweepStackPass,
-    kIoMetricsWrite, kIoTraceWrite, kIoCheckWrite,   kSvcAdmit,
-    kSvcCacheLoad,
+    kSweepGraphPass, kIoMetricsWrite, kIoTraceWrite, kIoCheckWrite,
+    kSvcAdmit,       kSvcCacheLoad,
 };
 
 namespace detail {

@@ -272,7 +272,8 @@ LoadedResult read_result_json(std::istream& is) {
   const JsonValue& cv = member(jv, "cache");
   job.cache.size = u64_of(cv, "size");
   job.cache.line_size = u64_of(cv, "line_size");
-  job.cache.associativity = static_cast<unsigned>(u64_of(cv, "associativity"));
+  job.cache.associativity =
+      checked_unsigned(u64_of(cv, "associativity"), "associativity");
   job.cache.policy = enum_from(
       str_of(cv, "policy"),
       {cachesim::ReplacementPolicy::kLru, cachesim::ReplacementPolicy::kFifo,
@@ -280,7 +281,7 @@ LoadedResult read_result_json(std::istream& is) {
        cachesim::ReplacementPolicy::kRandom},
       "cache policy");
   job.size = u64_of(jv, "size");
-  job.max_regions = static_cast<unsigned>(u64_of(jv, "max_regions"));
+  job.max_regions = checked_unsigned(u64_of(jv, "max_regions"), "max_regions");
   const JsonValue& ov = member(jv, "casa");
   job.casa.engine = enum_from(
       str_of(ov, "engine"),
@@ -290,9 +291,10 @@ LoadedResult read_result_json(std::istream& is) {
   job.casa.linearization = lin_from(str_of(ov, "linearization"));
   job.casa.generic_ilp_max_edges = u64_of(ov, "generic_ilp_max_edges");
   job.casa.max_nodes = u64_of(ov, "max_nodes");
-  job.casa.ilp_threads = static_cast<unsigned>(u64_of(ov, "ilp_threads"));
+  job.casa.ilp_threads =
+      checked_unsigned(u64_of(ov, "ilp_threads"), "ilp_threads");
   job.casa.ilp_subtree_depth =
-      static_cast<unsigned>(u64_of(ov, "ilp_subtree_depth"));
+      checked_unsigned(u64_of(ov, "ilp_subtree_depth"), "ilp_subtree_depth");
   job.casa.ilp_warm_start = bool_of(ov, "ilp_warm_start");
   job.casa.ilp_presolve = bool_of(ov, "ilp_presolve");
 
@@ -306,7 +308,7 @@ LoadedResult read_result_json(std::istream& is) {
   } else {
     CASA_CHECK(false, "result json: bad status '" + status + "'");
   }
-  result.attempts = static_cast<unsigned>(u64_of(rv, "attempts"));
+  result.attempts = checked_unsigned(u64_of(rv, "attempts"), "attempts");
 
   const JsonValue& outv = member(rv, "outcome");
   const FlowKind flow = enum_from(str_of(outv, "flow"), kFlows, "flow");
@@ -320,7 +322,8 @@ LoadedResult read_result_json(std::istream& is) {
     out.set_conflict_edges(u64_of(outv, "conflict_edges"));
     out.set_alloc(read_alloc(member(outv, "alloc")));
   } else if (flow == FlowKind::kLoopCache) {
-    out.set_lc_regions(static_cast<unsigned>(u64_of(outv, "lc_regions")));
+    out.set_lc_regions(
+        checked_unsigned(u64_of(outv, "lc_regions"), "lc_regions"));
   }
   result.outcome = std::move(out);
   return loaded;

@@ -181,13 +181,17 @@ Workbench::Workbench(const prog::Program& program, WorkbenchOptions opt)
       opt_(opt),
       exec_(trace::Executor::run(program, exec_opts(opt))) {}
 
-traceopt::TraceProgram Workbench::form(const cachesim::CacheConfig& cache,
-                                       Bytes max_trace) const {
-  traceopt::TraceFormationOptions topt;
-  topt.cache_line_size = cache.line_size;
+Bytes Workbench::trace_budget(const Job& job) {
   // Traces must stay individually placeable (paper §3.2) but never smaller
   // than one line.
-  topt.max_trace_size = std::max<Bytes>(max_trace, cache.line_size);
+  const Bytes budget = job.kind == Job::Kind::kCacheOnly ? 1_KiB : job.size;
+  return std::max<Bytes>(budget, job.cache.line_size);
+}
+
+traceopt::TraceProgram Workbench::form(const Job& job) const {
+  traceopt::TraceFormationOptions topt;
+  topt.cache_line_size = job.cache.line_size;
+  topt.max_trace_size = trace_budget(job);
   topt.fuse_ratio = opt_.fuse_ratio;
   return traceopt::form_traces(*program_, exec_.profile, topt);
 }
@@ -201,7 +205,8 @@ Outcome Workbench::run_casa(const cachesim::CacheConfig& cache,
 Workbench::PreparedJob Workbench::prepare_casa(
     obs::MetricsRegistry* reg, check::CheckRunner* chk,
     const cachesim::CacheConfig& cache, Bytes spm_size,
-    const core::CasaOptions& copt) const {
+    const core::CasaOptions& copt,
+    const conflict::ConflictGraph* given) const {
   fault::at(fault::site_names::kSimPrepare);
   PreparedJob pj;
   pj.job = Job::casa_job(cache, spm_size, copt);
@@ -210,7 +215,7 @@ Workbench::PreparedJob Workbench::prepare_casa(
   std::shared_ptr<traceopt::TraceProgram> tp;
   {
     const obs::Span s(reg, obs::trace_names::kTraceFormation);
-    tp = std::make_shared<traceopt::TraceProgram>(form(cache, spm_size));
+    tp = std::make_shared<traceopt::TraceProgram>(form(pj.job));
     if (chk) {
       check::check_trace_program(*tp, cache.line_size, *chk);
       chk->throw_if_errors();
@@ -227,13 +232,17 @@ Workbench::PreparedJob Workbench::prepare_casa(
     }
   }
 
-  std::unique_ptr<conflict::ConflictGraph> graph;
+  std::unique_ptr<conflict::ConflictGraph> built;
+  const conflict::ConflictGraph* graph = given;
   {
     const obs::Span s(reg, obs::trace_names::kConflictGraph);
-    conflict::BuildOptions bopt;
-    bopt.cache = cache;
-    graph = std::make_unique<conflict::ConflictGraph>(
-        conflict::build_conflict_graph(*tp, *layout, exec_.walk, bopt));
+    if (graph == nullptr) {
+      conflict::BuildOptions bopt;
+      bopt.cache = cache;
+      built = std::make_unique<conflict::ConflictGraph>(
+          conflict::build_conflict_graph(*tp, *layout, exec_.walk, bopt));
+      graph = built.get();
+    }
     if (reg != nullptr) {
       reg->add(obs::metric_names::kConflictNodes, graph->node_count());
       reg->add(obs::metric_names::kConflictEdges, graph->edge_count());
@@ -295,7 +304,8 @@ Outcome Workbench::run_casa_into(obs::MetricsRegistry* reg,
                                  const core::CasaOptions& copt) const {
   const obs::Span flow(reg, obs::trace_names::kRunCasa);
   const std::unique_ptr<check::CheckRunner> chk = make_checker(opt_, reg);
-  return finish_core(prepare_casa(reg, chk.get(), cache, spm_size, copt), reg);
+  return finish_core(
+      prepare_casa(reg, chk.get(), cache, spm_size, copt, nullptr), reg);
 }
 
 Outcome Workbench::run_steinke(const cachesim::CacheConfig& cache,
@@ -314,7 +324,7 @@ Workbench::PreparedJob Workbench::prepare_steinke(
   std::shared_ptr<traceopt::TraceProgram> tp;
   {
     const obs::Span s(reg, obs::trace_names::kTraceFormation);
-    tp = std::make_shared<traceopt::TraceProgram>(form(cache, spm_size));
+    tp = std::make_shared<traceopt::TraceProgram>(form(pj.job));
     if (chk) {
       check::check_trace_program(*tp, cache.line_size, *chk);
       chk->throw_if_errors();
@@ -394,7 +404,7 @@ Workbench::PreparedJob Workbench::prepare_loopcache(
   std::shared_ptr<traceopt::TraceProgram> tp;
   {
     const obs::Span s(reg, obs::trace_names::kTraceFormation);
-    tp = std::make_shared<traceopt::TraceProgram>(form(cache, lc_size));
+    tp = std::make_shared<traceopt::TraceProgram>(form(pj.job));
     if (chk) {
       check::check_trace_program(*tp, cache.line_size, *chk);
       chk->throw_if_errors();
@@ -465,7 +475,7 @@ Workbench::PreparedJob Workbench::prepare_cache_only(
   std::shared_ptr<traceopt::TraceProgram> tp;
   {
     const obs::Span s(reg, obs::trace_names::kTraceFormation);
-    tp = std::make_shared<traceopt::TraceProgram>(form(cache, 1_KiB));
+    tp = std::make_shared<traceopt::TraceProgram>(form(pj.job));
     if (chk) {
       check::check_trace_program(*tp, cache.line_size, *chk);
       chk->throw_if_errors();
@@ -503,10 +513,12 @@ Outcome Workbench::run_cache_only_into(
 
 Workbench::PreparedJob Workbench::prepare_core(const Job& job,
                                                obs::MetricsRegistry* reg,
-                                               check::CheckRunner* chk) const {
+                                               check::CheckRunner* chk,
+                                               const conflict::ConflictGraph*
+                                                   graph) const {
   switch (job.kind) {
     case Job::Kind::kCasa:
-      return prepare_casa(reg, chk, job.cache, job.size, job.casa);
+      return prepare_casa(reg, chk, job.cache, job.size, job.casa, graph);
     case Job::Kind::kSteinke:
       return prepare_steinke(reg, chk, job.cache, job.size);
     case Job::Kind::kLoopCache:
@@ -535,11 +547,12 @@ Outcome Workbench::finish_core(const PreparedJob& pj,
   return out;
 }
 
-Workbench::PreparedJob Workbench::prepare_job(const Job& job,
-                                              obs::MetricsRegistry* reg) const {
+Workbench::PreparedJob Workbench::prepare_job(
+    const Job& job, obs::MetricsRegistry* reg,
+    const conflict::ConflictGraph* graph) const {
   const obs::Span flow(reg, flow_name(job.kind));
   const std::unique_ptr<check::CheckRunner> chk = make_checker(opt_, reg);
-  return prepare_core(job, reg, chk.get());
+  return prepare_core(job, reg, chk.get(), graph);
 }
 
 Outcome Workbench::finish_job(const PreparedJob& pj,

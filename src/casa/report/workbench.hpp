@@ -36,6 +36,10 @@ class CheckRunner;
 struct BatchSummary;
 }  // namespace casa::check
 
+namespace casa::conflict {
+class ConflictGraph;
+}  // namespace casa::conflict
+
 namespace casa::sim {
 class MetricsShards;
 }  // namespace casa::sim
@@ -250,7 +254,21 @@ class Workbench {
   /// Runs every stage of `job`'s flow except the hierarchy replay,
   /// recording the flow's spans and stage counters into `reg` (null = no
   /// telemetry). prepare_job + finish_job ≡ the matching run_* method.
-  PreparedJob prepare_job(const Job& job, obs::MetricsRegistry* reg) const;
+  /// A CASA job may bring its conflict graph, built by the caller for
+  /// form(job), layout_all and job.cache (the sweep planner builds a whole
+  /// geometry family in one pass); the flow then uses it in place of its
+  /// own build and still records and checks it. Other flows ignore it.
+  PreparedJob prepare_job(const Job& job, obs::MetricsRegistry* reg,
+                          const conflict::ConflictGraph* graph = nullptr) const;
+
+  /// Trace-formation budget of `job`'s flow: the cache-only flow forms
+  /// with 1 KiB, every other flow with its scratchpad / loop-cache
+  /// capacity, never below one cache line. Jobs with equal line size and
+  /// budget form the same trace program.
+  static Bytes trace_budget(const Job& job);
+
+  /// The trace program `job`'s flow forms.
+  traceopt::TraceProgram form(const Job& job) const;
 
   /// Completes a prepared job by direct hierarchy simulation — the exact
   /// replay the matching run_* method would have performed.
@@ -338,12 +356,10 @@ class Workbench {
   JobResult evaluate_job(const Job& job, std::size_t job_idx,
                          const BatchOptions& opt,
                          obs::MetricsRegistry* shard) const;
-  traceopt::TraceProgram form(const cachesim::CacheConfig& cache,
-                              Bytes max_trace) const;
-
   PreparedJob prepare_casa(obs::MetricsRegistry* reg, check::CheckRunner* chk,
                            const cachesim::CacheConfig& cache, Bytes spm_size,
-                           const core::CasaOptions& copt) const;
+                           const core::CasaOptions& copt,
+                           const conflict::ConflictGraph* given) const;
   PreparedJob prepare_steinke(obs::MetricsRegistry* reg,
                               check::CheckRunner* chk,
                               const cachesim::CacheConfig& cache,
@@ -356,7 +372,8 @@ class Workbench {
                                  check::CheckRunner* chk,
                                  const cachesim::CacheConfig& cache) const;
   PreparedJob prepare_core(const Job& job, obs::MetricsRegistry* reg,
-                           check::CheckRunner* chk) const;
+                           check::CheckRunner* chk,
+                           const conflict::ConflictGraph* graph) const;
   Outcome finish_core(const PreparedJob& pj, obs::MetricsRegistry* reg) const;
 
   Outcome run_casa_into(obs::MetricsRegistry* reg,

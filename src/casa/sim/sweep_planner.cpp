@@ -1,12 +1,15 @@
 #include "casa/sim/sweep_planner.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "casa/cachesim/stack_sim.hpp"
 #include "casa/check/rules.hpp"
 #include "casa/check/runner.hpp"
+#include "casa/conflict/graph_builder.hpp"
 #include "casa/fault/fault.hpp"
 #include "casa/fault/site_names.hpp"
 #include "casa/obs/metric_names.hpp"
@@ -48,18 +51,56 @@ StreamKey key_of(const Workbench::PreparedJob& pj, bool steinke_moves) {
   StreamKey key;
   key.line_size = pj.job.cache.line_size;
   key.policy = pj.job.cache.policy;
-  // Mirrors Workbench::form's budget: the cache-only flow forms with 1 KiB,
-  // every other flow with its scratchpad / loop-cache capacity, floored at
-  // one line.
-  const Bytes budget = pj.job.kind == Workbench::Job::Kind::kCacheOnly
-                           ? 1_KiB
-                           : pj.job.size;
-  key.max_trace = std::max<Bytes>(budget, key.line_size);
+  key.max_trace = Workbench::trace_budget(pj.job);
   key.excluding_layout =
       pj.job.kind == Workbench::Job::Kind::kSteinke && steinke_moves;
   key.loop_cache = pj.regions != nullptr;
   key.on_spm = pj.on_spm;
   return key;
+}
+
+/// LRU CASA jobs whose conflict graphs one stack replay can share: equal
+/// line size and trace budget give one trace program (Workbench::form) and
+/// one layout (layout_all depends on nothing else), so their graphs differ
+/// only in the cache geometry.
+struct GraphFamily {
+  Bytes line_size = 0;
+  Bytes budget = 0;
+  std::vector<std::size_t> members;            ///< indices into `unique`
+  std::vector<cachesim::CacheConfig> configs;  ///< distinct geometries
+  std::vector<std::size_t> config_of;          ///< per member, into configs
+};
+
+std::vector<GraphFamily> graph_families(
+    const std::vector<Workbench::Job>& jobs,
+    const std::vector<std::size_t>& unique) {
+  std::vector<GraphFamily> families;
+  for (std::size_t i = 0; i < unique.size(); ++i) {
+    const Workbench::Job& job = jobs[unique[i]];
+    if (job.kind != Workbench::Job::Kind::kCasa ||
+        job.cache.policy != cachesim::ReplacementPolicy::kLru) {
+      continue;
+    }
+    const Bytes budget = Workbench::trace_budget(job);
+    auto fam = std::find_if(
+        families.begin(), families.end(), [&](const GraphFamily& f) {
+          return f.line_size == job.cache.line_size && f.budget == budget;
+        });
+    if (fam == families.end()) {
+      families.push_back(GraphFamily{job.cache.line_size, budget, {}, {}, {}});
+      fam = families.end() - 1;
+    }
+    const auto cfg = std::find(fam->configs.begin(), fam->configs.end(),
+                               job.cache);
+    fam->config_of.push_back(
+        static_cast<std::size_t>(cfg - fam->configs.begin()));
+    if (cfg == fam->configs.end()) fam->configs.push_back(job.cache);
+    fam->members.push_back(i);
+  }
+  // A lone geometry gains nothing from a shared replay.
+  std::erase_if(families,
+                [](const GraphFamily& f) { return f.configs.size() < 2; });
+  return families;
 }
 
 /// Counters a direct line-granular replay (memsim's compiled-stream path)
@@ -166,41 +207,179 @@ std::vector<JobResult> SweepPlanner::run_jobs(const std::vector<Job>& jobs,
     return sh != nullptr ? &sh->shard(job_idx) : nullptr;
   };
   const bool want_metrics = sh != nullptr;
+  const trace::BlockWalk& walk = bench_->execution().walk;
+  obs::Tracer* const tracer = obs::Tracer::current();
 
-  // Phase 1: every stage but the replay, in parallel over unique jobs, with
-  // per-job containment. Each attempt records into a fresh registry whose
-  // snapshot merges into the job's shard only when the job later finishes —
-  // a job that dies mid-prepare leaves no partial counts behind.
-  const std::vector<Prep> prepared = runner.map<Prep>(
-      unique.size(),
-      [this, &jobs, &unique, &bopt, want_metrics](std::size_t i,
-                                                  std::uint64_t) {
-        const std::size_t job_idx = unique[i];
-        // Bind the job index as the thread's fault argument: spec clauses
-        // with arg=N target exactly this job, on any schedule.
-        const fault::ScopedArg scope(job_idx);
-        Prep p;
-        for (unsigned attempt = 0;; ++attempt) {
-          obs::MetricsRegistry temp;
-          try {
-            p.pj = bench_->prepare_job(jobs[job_idx],
-                                       want_metrics ? &temp : nullptr);
-            p.recorded = temp.snapshot();
-            p.attempts = attempt + 1;
-            p.prepared = true;
-            return p;
-          } catch (...) {
-            const std::exception_ptr err = std::current_exception();
-            if (attempt < bopt.max_retries && fault::is_transient(err)) {
-              pace_retry(bopt, attempt);
-              continue;
-            }
-            p.failure = report::failed_job_result(err, attempt + 1);
-            p.attempts = attempt + 1;
-            return p;
-          }
+  // Phase 1: every stage but the replay, for every unique job, with per-job
+  // containment. Each attempt records into a fresh registry whose snapshot
+  // merges into the job's shard only when the job later finishes — a job
+  // that dies mid-prepare leaves no partial counts behind.
+  //
+  // The CASA jobs of a geometry family (see GraphFamily) take their
+  // conflict graphs from one shared stack replay instead of building their
+  // own. With artifact checking on, the family's first member graph is
+  // cross-validated against a direct build before any job consumes it. A
+  // failing family build degrades its members to their own per-job builds
+  // in containment mode and propagates under fail_fast, as stack passes
+  // do. The family builds run in a first wave next to every prepare that
+  // needs no family graph; the members prepare in a second wave.
+  struct FamilyGraphs {
+    std::vector<std::shared_ptr<const conflict::ConflictGraph>> graphs;
+    obs::MetricsSnapshot validation;  ///< rides with the first member
+    bool degraded = false;
+  };
+  const std::vector<GraphFamily> families = graph_families(jobs, unique);
+  const auto build_family = [this, &families, &jobs, &unique, &walk, &wopt,
+                             &bopt, &shard_of, tracer](std::size_t f) {
+    const GraphFamily& fam = families[f];
+    const std::size_t rep_job = unique[fam.members.front()];
+    FamilyGraphs out;
+    try {
+      const fault::ScopedArg pass_scope(rep_job);
+      fault::at(fault::site_names::kSweepGraphPass);
+      std::optional<traceopt::TraceProgram> tp;
+      {
+        const obs::TraceSpan s(tracer, obs::trace_names::kTraceFormation);
+        tp.emplace(bench_->form(jobs[rep_job]));
+      }
+      std::optional<traceopt::Layout> layout;
+      {
+        const obs::TraceSpan s(tracer, obs::trace_names::kLayout);
+        layout.emplace(traceopt::layout_all(*tp));
+      }
+      const obs::TraceSpan s(tracer, obs::trace_names::kConflictGraph);
+      const trace::CompiledStream stream =
+          traceopt::compile_fetch_stream(*tp, *layout, fam.line_size);
+      std::vector<conflict::ConflictGraph> graphs =
+          conflict::build_conflict_graphs(*tp, stream, walk, fam.configs);
+      if (wopt.check_artifacts) {
+        conflict::BuildOptions direct_opt;
+        direct_opt.cache = fam.configs.front();
+        const conflict::ConflictGraph direct =
+            conflict::build_conflict_graph(*tp, stream, walk, direct_opt);
+        obs::MetricsRegistry chk_reg;
+        check::CheckRunner chk(shard_of(rep_job) != nullptr ? &chk_reg
+                                                            : nullptr);
+        check::check_graph_sweep(graphs.front(), direct, fam.configs.front(),
+                                 chk);
+        out.validation = chk_reg.snapshot();
+        chk.throw_if_errors();
+      }
+      for (conflict::ConflictGraph& g : graphs) {
+        out.graphs.push_back(
+            std::make_shared<const conflict::ConflictGraph>(std::move(g)));
+      }
+    } catch (...) {
+      if (bopt.fail_fast) throw;
+      out = FamilyGraphs{};
+      out.degraded = true;
+      if (tracer != nullptr) {
+        tracer->instant(obs::trace_names::kSweepDegraded,
+                        static_cast<double>(fam.members.size()),
+                        obs::trace_names::kCatFault);
+      }
+    }
+    return out;
+  };
+
+  // Each member holds its own graph reference, so a family's graphs are
+  // freed as soon as its last member is prepared.
+  std::vector<std::shared_ptr<const conflict::ConflictGraph>> graph_of(
+      unique.size());
+  std::vector<const obs::MetricsSnapshot*> validation_of(unique.size(),
+                                                         nullptr);
+  const auto prepare = [this, &jobs, &unique, &bopt, &graph_of,
+                        &validation_of, want_metrics](std::size_t i) {
+    const std::size_t job_idx = unique[i];
+    // Bind the job index as the thread's fault argument: spec clauses with
+    // arg=N target exactly this job, on any schedule.
+    const fault::ScopedArg scope(job_idx);
+    const std::shared_ptr<const conflict::ConflictGraph> graph =
+        std::move(graph_of[i]);
+    Prep p;
+    for (unsigned attempt = 0;; ++attempt) {
+      obs::MetricsRegistry temp;
+      try {
+        p.pj = bench_->prepare_job(jobs[job_idx],
+                                   want_metrics ? &temp : nullptr,
+                                   graph.get());
+        // The family's check.* validation counters ride with its sampled
+        // member.
+        if (validation_of[i] != nullptr) temp.merge_from(*validation_of[i]);
+        p.recorded = temp.snapshot();
+        p.attempts = attempt + 1;
+        p.prepared = true;
+        return p;
+      } catch (...) {
+        const std::exception_ptr err = std::current_exception();
+        if (attempt < bopt.max_retries && fault::is_transient(err)) {
+          pace_retry(bopt, attempt);
+          continue;
         }
+        p.failure = report::failed_job_result(err, attempt + 1);
+        p.attempts = attempt + 1;
+        return p;
+      }
+    }
+  };
+
+  std::vector<bool> in_family(unique.size(), false);
+  for (const GraphFamily& fam : families) {
+    for (const std::size_t i : fam.members) in_family[i] = true;
+  }
+  std::vector<std::size_t> first_wave;
+  std::vector<std::size_t> second_wave;
+  for (std::size_t i = 0; i < unique.size(); ++i) {
+    (in_family[i] ? second_wave : first_wave).push_back(i);
+  }
+  struct FirstWaveTask {
+    FamilyGraphs family;  ///< tasks [0, families.size())
+    Prep prep;            ///< the rest, one per first_wave entry
+  };
+  std::vector<FirstWaveTask> wave = runner.map<FirstWaveTask>(
+      families.size() + first_wave.size(),
+      [&families, &first_wave, &build_family, &prepare](std::size_t t,
+                                                        std::uint64_t) {
+        FirstWaveTask out;
+        if (t < families.size()) {
+          out.family = build_family(t);
+        } else {
+          out.prep = prepare(first_wave[t - families.size()]);
+        }
+        return out;
       });
+  for (std::size_t f = 0; f < families.size(); ++f) {
+    FamilyGraphs& fg = wave[f].family;
+    if (fg.degraded) continue;
+    for (std::size_t k = 0; k < families[f].members.size(); ++k) {
+      graph_of[families[f].members[k]] = fg.graphs[families[f].config_of[k]];
+    }
+    fg.graphs.clear();
+    validation_of[families[f].members.front()] = &fg.validation;
+  }
+  std::vector<Prep> prepared(unique.size());
+  for (std::size_t t = 0; t < first_wave.size(); ++t) {
+    prepared[first_wave[t]] = std::move(wave[families.size() + t].prep);
+  }
+  std::vector<Prep> members = runner.map<Prep>(
+      second_wave.size(), [&second_wave, &prepare](std::size_t t,
+                                                   std::uint64_t) {
+        return prepare(second_wave[t]);
+      });
+  for (std::size_t t = 0; t < second_wave.size(); ++t) {
+    prepared[second_wave[t]] = std::move(members[t]);
+  }
+  std::uint64_t graph_passes = 0;
+  std::uint64_t graph_hits = 0;
+  std::uint64_t degraded_families = 0;
+  for (std::size_t f = 0; f < families.size(); ++f) {
+    if (wave[f].family.degraded) {
+      ++degraded_families;
+    } else {
+      ++graph_passes;
+      graph_hits += families[f].members.size();
+    }
+  }
 
   // Phase 2: group the successfully prepared jobs by stream signature
   // (indices into `prepared`). Failed prepares carry no artifacts to group.
@@ -234,7 +413,6 @@ std::vector<JobResult> SweepPlanner::run_jobs(const std::vector<Job>& jobs,
   // fails degrades its group to the direct path in containment mode and
   // propagates under fail_fast (a stack-engine regression must fail the
   // sweep, not be silently papered over).
-  const trace::BlockWalk& walk = bench_->execution().walk;
   struct GroupDone {
     std::vector<std::pair<std::size_t, JobResult>> done;
     std::size_t size = 0;
@@ -243,8 +421,8 @@ std::vector<JobResult> SweepPlanner::run_jobs(const std::vector<Job>& jobs,
   };
   const std::vector<GroupDone> finished = runner.map<GroupDone>(
       groups.size(),
-      [this, &groups, &prepared, &unique, &walk, &wopt, &bopt, &shard_of](
-          std::size_t g, std::uint64_t) {
+      [this, &groups, &prepared, &unique, &walk, &wopt, &bopt, &shard_of,
+       tracer](std::size_t g, std::uint64_t) {
         const Group& grp = groups[g];
         GroupDone out;
         out.size = grp.members.size();
@@ -288,7 +466,6 @@ std::vector<JobResult> SweepPlanner::run_jobs(const std::vector<Job>& jobs,
         const bool stack_eligible =
             grp.key.policy == cachesim::ReplacementPolicy::kLru &&
             !grp.key.loop_cache && grp.members.size() >= 2;
-        obs::Tracer* const tracer = obs::Tracer::current();
         if (stack_eligible) {
           try {
             // One shared replay. The representative's trace program /
@@ -454,7 +631,7 @@ std::vector<JobResult> SweepPlanner::run_jobs(const std::vector<Job>& jobs,
   std::uint64_t stack_passes = 0;
   std::uint64_t stack_hits = 0;
   std::uint64_t direct_finishes = 0;
-  std::uint64_t degraded_groups = 0;
+  std::uint64_t degraded_groups = degraded_families;
   for (const GroupDone& gd : finished) {
     if (gd.stack_pass) {
       ++stack_passes;
@@ -475,6 +652,8 @@ std::vector<JobResult> SweepPlanner::run_jobs(const std::vector<Job>& jobs,
     wopt.metrics->add(obs::metric_names::kSweepGroups, groups.size());
     wopt.metrics->add(obs::metric_names::kSweepStackPasses, stack_passes);
     wopt.metrics->add(obs::metric_names::kSweepStackHits, stack_hits);
+    wopt.metrics->add(obs::metric_names::kSweepGraphPasses, graph_passes);
+    wopt.metrics->add(obs::metric_names::kSweepGraphHits, graph_hits);
     wopt.metrics->add(obs::metric_names::kSweepFallbackConfigs,
                       direct_finishes);
     wopt.metrics->add(obs::metric_names::kSweepDedupHits,

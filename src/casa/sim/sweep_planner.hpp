@@ -6,33 +6,41 @@
 // redundancy without changing a single counter:
 //
 //  1. deduplicate identical jobs (repeated sweep points share one Outcome);
-//  2. run every unique job's pipeline stages up to — but not including —
+//  2. build the conflict graphs of each CASA geometry family — LRU CASA
+//     jobs with one line size and trace budget, hence one trace program
+//     and layout — from ONE stack replay (conflict::build_conflict_graphs),
+//     one task per family with two or more distinct geometries;
+//  3. run every unique job's pipeline stages up to — but not including —
 //     the hierarchy replay, in parallel (Workbench::prepare_job: trace
-//     formation, layout, conflict graph + ILP where the flow has one);
-//  3. group the prepared jobs by what the cache actually sees: line size,
+//     formation, layout, conflict graph + ILP where the flow has one),
+//     handing each family member its precomputed graph;
+//  4. group the prepared jobs by what the cache actually sees: line size,
 //     replacement policy, trace-formation budget, layout mode, and the
 //     scratchpad mask. Jobs in one group provably feed the cache the same
 //     line-run sequence — only the cache geometry differs;
-//  4. for LRU groups with two or more members, replay that sequence ONCE
+//  5. for LRU groups with two or more members, replay that sequence ONCE
 //     through cachesim::StackSimulator and read exact per-configuration
 //     counters off the stack-distance histograms; every other job (non-LRU
 //     policies, loop-cache flows, singleton groups) finishes through the
 //     ordinary per-config simulation (Workbench::finish_job);
-//  5. finish each job from its counters (Workbench::finish_with_counters),
+//  6. finish each job from its counters (Workbench::finish_with_counters),
 //     which derives energies through the same arithmetic a direct replay
 //     uses — Outcomes and per-job sim.* / cache.* / stream.* telemetry come
 //     out bit-identical to run_many's.
 //
 // When artifact checking is on (WorkbenchOptions::check_artifacts), each
 // stack group cross-validates its first member against a direct simulation
-// through check::check_stack_sweep, so a stack-engine regression fails the
-// sweep instead of skewing every configuration in the group.
+// through check::check_stack_sweep, and each graph family its first
+// member's graph against build_conflict_graph through
+// check::check_graph_sweep, so an engine regression fails the sweep
+// instead of skewing every configuration in the group.
 //
 // run_jobs is the fault-contained entry point (mirrors
 // Workbench::run_jobs): per-job failures are captured as JobResults,
 // transients retry with deterministic backoff, and — in containment mode —
 // a failing stack pass degrades its group to per-configuration direct
-// simulation (counted in sweep.degraded_groups) instead of poisoning the
+// simulation, and a failing family graph build its members to per-job
+// builds (both counted in sweep.degraded_groups), instead of poisoning the
 // member jobs. run() is run_jobs with fail_fast semantics.
 //
 // docs/sweep.md covers the algorithm, the LRU-only exactness argument, the
@@ -64,6 +72,8 @@ class SweepPlanner {
   ///   sweep.groups           stream-sharing groups formed
   ///   sweep.stack_passes     groups replayed once through the stack engine
   ///   sweep.stack_hits       jobs whose counters came from a stack pass
+  ///   sweep.graph_passes     CASA families whose graphs came from one pass
+  ///   sweep.graph_hits       CASA jobs that took a family-built graph
   ///   sweep.fallback_configs jobs finished by direct per-config simulation
   ///   sweep.dedup_hits       duplicate jobs that shared an Outcome
   ///   sweep.configs_per_pass distribution of stack-group sizes

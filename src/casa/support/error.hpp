@@ -5,6 +5,7 @@
 // casa::detail::raise_check_failure.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +28,11 @@ class SolveError : public Error {
  public:
   explicit SolveError(const std::string& what) : Error(what) {}
 };
+
+/// `value` narrowed to unsigned. Throws PreconditionError naming `key`
+/// when it does not fit, so an input boundary (the serve protocol, the
+/// artifact readers, the CLIs) never wraps 2^32 + 2 into 2.
+unsigned checked_unsigned(std::uint64_t value, const std::string& key);
 
 namespace detail {
 [[noreturn]] void raise_check_failure(const char* expr, const char* file,

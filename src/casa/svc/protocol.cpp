@@ -49,8 +49,8 @@ cachesim::CacheConfig cache_from(const JsonValue& v) {
   cachesim::CacheConfig config;
   config.size = u64_field(v, "size", config.size);
   config.line_size = u64_field(v, "line_size", config.line_size);
-  config.associativity = static_cast<unsigned>(
-      u64_field(v, "associativity", config.associativity));
+  config.associativity = checked_unsigned(
+      u64_field(v, "associativity", config.associativity), "associativity");
   const std::string policy = str_field(v, "policy", "LRU");
   bool known = false;
   for (const auto p :
@@ -73,8 +73,8 @@ report::Workbench::Job job_from(const JsonValue& v) {
   job.kind = flow_from(str_field(v, "kind", "casa"));
   if (const JsonValue* cache = v.find("cache")) job.cache = cache_from(*cache);
   job.size = u64_field(v, "size", job.size);
-  job.max_regions =
-      static_cast<unsigned>(u64_field(v, "max_regions", job.max_regions));
+  job.max_regions = checked_unsigned(
+      u64_field(v, "max_regions", job.max_regions), "max_regions");
   if (const JsonValue* casa = v.find("casa")) {
     CASA_CHECK(casa->kind == JsonValue::Kind::kObject,
                "serve request: 'casa' must be an object");
@@ -98,10 +98,11 @@ report::Workbench::Job job_from(const JsonValue& v) {
     o.generic_ilp_max_edges =
         u64_field(*casa, "generic_ilp_max_edges", o.generic_ilp_max_edges);
     o.max_nodes = u64_field(*casa, "max_nodes", o.max_nodes);
-    o.ilp_threads =
-        static_cast<unsigned>(u64_field(*casa, "ilp_threads", o.ilp_threads));
-    o.ilp_subtree_depth = static_cast<unsigned>(
-        u64_field(*casa, "ilp_subtree_depth", o.ilp_subtree_depth));
+    o.ilp_threads = checked_unsigned(
+        u64_field(*casa, "ilp_threads", o.ilp_threads), "ilp_threads");
+    o.ilp_subtree_depth = checked_unsigned(
+        u64_field(*casa, "ilp_subtree_depth", o.ilp_subtree_depth),
+        "ilp_subtree_depth");
     o.ilp_warm_start =
         u64_field(*casa, "ilp_warm_start", o.ilp_warm_start ? 1 : 0) != 0;
     o.ilp_presolve =
@@ -193,7 +194,7 @@ Request parse_request(const std::string& line) {
                    !flows->items.empty(),
                "serve request: 'sweep' needs a flows array");
     const unsigned regions =
-        static_cast<unsigned>(u64_field(root, "max_regions", 4));
+        checked_unsigned(u64_field(root, "max_regions", 4), "max_regions");
     for (const JsonValue& f : flows->items) {
       CASA_CHECK(f.kind == JsonValue::Kind::kString,
                  "serve request: flow names must be strings");

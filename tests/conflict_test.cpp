@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "casa/conflict/graph_builder.hpp"
 #include "casa/prog/builder.hpp"
+#include "casa/support/error.hpp"
 #include "casa/trace/executor.hpp"
 #include "casa/traceopt/layout.hpp"
 #include "casa/traceopt/trace_formation.hpp"
+#include "casa/workloads/workloads.hpp"
 
 namespace casa::conflict {
 namespace {
@@ -190,6 +195,140 @@ TEST(ConflictGraph, DeterministicAcrossBuilds) {
   for (std::size_t i = 0; i < a.edges().size(); ++i) {
     EXPECT_EQ(a.edges()[i].misses, b.edges()[i].misses);
   }
+}
+
+// ------------------------------------------------ one-pass family builds
+
+/// Field-by-field equality: fetches, hits and cold misses per node, and
+/// every edge with its weight.
+void expect_graph_eq(const ConflictGraph& got, const ConflictGraph& want,
+                     const std::string& label) {
+  ASSERT_EQ(got.node_count(), want.node_count()) << label;
+  for (std::size_t i = 0; i < want.node_count(); ++i) {
+    const MemoryObjectId mo(static_cast<std::uint32_t>(i));
+    EXPECT_EQ(got.fetches(mo), want.fetches(mo)) << label << " node " << i;
+    EXPECT_EQ(got.hits(mo), want.hits(mo)) << label << " node " << i;
+    EXPECT_EQ(got.cold_misses(mo), want.cold_misses(mo))
+        << label << " node " << i;
+  }
+  ASSERT_EQ(got.edge_count(), want.edge_count()) << label;
+  for (std::size_t k = 0; k < want.edge_count(); ++k) {
+    const Edge& a = got.edges()[k];
+    const Edge& b = want.edges()[k];
+    EXPECT_TRUE(a.from == b.from && a.to == b.to && a.misses == b.misses)
+        << label << " edge " << k << ": " << a.from.value() << "->"
+        << a.to.value() << " x" << a.misses << " vs " << b.from.value()
+        << "->" << b.to.value() << " x" << b.misses;
+  }
+}
+
+/// A workload's trace program, layout and compiled stream at one line size.
+struct Formed {
+  prog::Program program;
+  trace::ExecutionResult exec;
+  traceopt::TraceProgram tp;
+  traceopt::Layout layout;
+  trace::CompiledStream stream;
+
+  Formed(const std::string& name, Bytes line)
+      : program(workloads::by_name(name)),
+        exec(trace::Executor::run(program)),
+        tp(traceopt::form_traces(program, exec.profile, topts(line))),
+        layout(traceopt::layout_all(tp)),
+        stream(traceopt::compile_fetch_stream(tp, layout, line)) {}
+
+  static traceopt::TraceFormationOptions topts(Bytes line) {
+    traceopt::TraceFormationOptions o;
+    o.cache_line_size = line;
+    o.max_trace_size = 512;
+    return o;
+  }
+};
+
+cachesim::CacheConfig config(Bytes line, unsigned sets, unsigned assoc,
+                             cachesim::ReplacementPolicy policy =
+                                 cachesim::ReplacementPolicy::kLru) {
+  cachesim::CacheConfig c;
+  c.line_size = line;
+  c.associativity = assoc;
+  c.policy = policy;
+  c.size = static_cast<Bytes>(sets) * assoc * line;
+  return c;
+}
+
+/// Asserts build_conflict_graphs == build_conflict_graph member by member.
+void expect_family_matches(const Formed& f,
+                           const std::vector<cachesim::CacheConfig>& configs,
+                           const std::string& label) {
+  const std::vector<ConflictGraph> graphs =
+      build_conflict_graphs(f.tp, f.stream, f.exec.walk, configs);
+  ASSERT_EQ(graphs.size(), configs.size()) << label;
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    BuildOptions opt;
+    opt.cache = configs[k];
+    const ConflictGraph want =
+        build_conflict_graph(f.tp, f.stream, f.exec.walk, opt);
+    expect_graph_eq(graphs[k], want,
+                    label + " sets=" + std::to_string(configs[k].sets()) +
+                        " assoc=" + std::to_string(configs[k].associativity) +
+                        " policy=" + cachesim::to_string(configs[k].policy));
+  }
+}
+
+/// Per-workload oracle: set counts {1..64} x associativities {1,2,4,8} at
+/// both paper line sizes, all 28 geometries from one stack replay.
+class FamilyOracle : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FamilyOracle, EveryMemberMatchesTheSingleConfigBuild) {
+  for (const Bytes line : {16u, 32u}) {
+    const Formed f(GetParam(), line);
+    std::vector<cachesim::CacheConfig> configs;
+    for (unsigned sets = 1; sets <= 64; sets *= 2) {
+      for (const unsigned assoc : {1u, 2u, 4u, 8u}) {
+        configs.push_back(config(line, sets, assoc));
+      }
+    }
+    expect_family_matches(f, configs,
+                          GetParam() + " line=" + std::to_string(line));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, FamilyOracle,
+                         ::testing::ValuesIn(workloads::names()),
+                         [](const auto& info) { return info.param; });
+
+TEST(ConflictGraphFamily, MixedPoliciesAndDuplicatesMatch) {
+  // LRU members share the stack replay; FIFO, round-robin and random build
+  // one by one (random with the default seed, as build_conflict_graph
+  // does); the duplicated LRU config comes back twice.
+  using cachesim::ReplacementPolicy;
+  const Formed f("mpeg", 16);
+  const std::vector<cachesim::CacheConfig> configs = {
+      config(16, 16, 1),
+      config(16, 16, 2, ReplacementPolicy::kFifo),
+      config(16, 64, 2),
+      config(16, 8, 4, ReplacementPolicy::kRoundRobin),
+      config(16, 16, 4),
+      config(16, 32, 2, ReplacementPolicy::kRandom),
+      config(16, 64, 2),
+  };
+  expect_family_matches(f, configs, "mixed");
+}
+
+TEST(ConflictGraphFamily, LoneLruGeometryAndEmptyListMatch) {
+  const Formed f("adpcm", 16);
+  expect_family_matches(
+      f, {config(16, 16, 2),
+          config(16, 16, 2, cachesim::ReplacementPolicy::kFifo)},
+      "lone");
+  EXPECT_TRUE(build_conflict_graphs(f.tp, f.stream, f.exec.walk, {}).empty());
+}
+
+TEST(ConflictGraphFamily, RejectsAForeignLineSize) {
+  const Formed f("adpcm", 16);
+  EXPECT_THROW(build_conflict_graphs(f.tp, f.stream, f.exec.walk,
+                                     {config(16, 16, 1), config(32, 16, 1)}),
+               PreconditionError);
 }
 
 }  // namespace

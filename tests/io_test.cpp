@@ -350,6 +350,50 @@ TEST(IoResult, RejectsCorruptedAndWrongSchemaArtifacts) {
   EXPECT_THROW(read_result_json(garbage), PreconditionError);
 }
 
+TEST(IoResult, RejectsUnsignedFieldsPast32Bits) {
+  // Every field the reader narrows to unsigned refuses 2^32 + 2 (which
+  // used to wrap to 2) and names its key.
+  report::JobResult lc;
+  lc.outcome = report::Outcome(report::FlowKind::kLoopCache);
+  lc.outcome.set_lc_regions(3);
+  cachesim::CacheConfig cache;
+  cache.size = 1024;
+  const struct {
+    report::Workbench::Job job;
+    report::JobResult result;
+  } artifacts[] = {
+      {sample_job(), sample_result()},
+      {report::Workbench::Job::loopcache_job(cache, 256, 3), lc},
+  };
+  for (const char* key : {"associativity", "max_regions", "ilp_threads",
+                          "ilp_subtree_depth", "attempts", "lc_regions"}) {
+    SCOPED_TRACE(key);
+    bool found = false;
+    for (const auto& a : artifacts) {
+      std::ostringstream os;
+      write_result_json(os, a.job, a.result, "adpcm");
+      std::string text = std::move(os).str();
+      const std::string field = std::string("\"") + key + "\":";
+      const std::size_t at = text.find(field);
+      if (at == std::string::npos) continue;
+      found = true;
+      const std::size_t begin =
+          text.find_first_of("0123456789", at + field.size());
+      const std::size_t end = text.find_first_not_of("0123456789", begin);
+      text.replace(begin, end - begin, "4294967298");
+      std::istringstream is(text);
+      try {
+        (void)read_result_json(is);
+        ADD_FAILURE() << "artifact accepted";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_TRUE(found) << "no sample artifact carries the key";
+  }
+}
+
 TEST(IoResult, RefusesToSerializeFailedResults) {
   report::JobResult failed;
   failed.status = report::JobStatus::kFailed;

@@ -5,8 +5,9 @@
 // cachesim::Cache per configuration. The suite holds that equality across
 // set counts {1..64} x associativities {1,2,4,8} x all three deterministic
 // replacement policies on every bundled workload's compiled fetch stream
-// (LRU via the stack engine, FIFO/round-robin via the fallback bank), plus
-// synthetic streams that stress the corner cases the workloads may miss.
+// (LRU via the stack engine, FIFO/round-robin via the fallback bank), on a
+// family whose set counts skip levels, plus synthetic streams that stress
+// the corner cases the workloads may miss.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -158,6 +159,38 @@ TEST(StackSimulator, RejectsForeignLineSizeOrPolicy) {
   EXPECT_THROW(sim.counters(too_big), PreconditionError);
 }
 
+TEST(StackSimulator, CountersNeedASetCountSomeMemberHas) {
+  // Only the members' set-count levels are kept: {2, 16} sets here, so 4
+  // sets (a level between them) and 1 set (below them) are not answered.
+  ConfigFamily fam;
+  fam.line_size = 16;
+  for (const unsigned sets : {2u, 16u}) {
+    CacheConfig cfg;
+    cfg.line_size = 16;
+    cfg.associativity = 2;
+    cfg.size = static_cast<Bytes>(sets) * 2 * 16;
+    fam.configs.push_back(cfg);
+  }
+  StackSimulator sim(fam);
+  EXPECT_EQ(sim.levels(), (std::vector<unsigned>{1, 4}));
+  for (const LineAccess& r : synthetic_runs(3, 1'000)) {
+    sim.access_line(r.addr, r.words);
+  }
+  CacheConfig between;
+  between.line_size = 16;
+  between.associativity = 2;
+  between.size = 4 * 2 * 16;
+  EXPECT_THROW(sim.counters(between), PreconditionError);
+  CacheConfig below = between;
+  below.size = 2 * 16;
+  EXPECT_THROW(sim.counters(below), PreconditionError);
+  // A kept level answers any associativity up to the family's maximum.
+  CacheConfig direct_mapped = fam.configs[1];
+  direct_mapped.associativity = 1;
+  direct_mapped.size = 16 * 16;
+  EXPECT_NO_THROW(sim.counters(direct_mapped));
+}
+
 TEST(StackSimulator, SyntheticStreamsMatchTheCacheOracle) {
   for (const std::uint64_t seed : {1u, 7u, 1234u}) {
     const std::vector<LineAccess> runs = synthetic_runs(seed, 20'000);
@@ -219,6 +252,25 @@ TEST_P(WorkloadOracle, AllPoliciesBitIdentical) {
   expect_oracle_match(paper_family(ReplacementPolicy::kFifo), runs, "fifo");
   expect_oracle_match(paper_family(ReplacementPolicy::kRoundRobin), runs,
                       "rr");
+}
+
+TEST_P(WorkloadOracle, SkippedLevelsStayExact) {
+  // Set counts {2, 16, 64} x associativities {1, 4}: the engine keeps three
+  // of seven levels, and every member must still match its Cache.
+  const std::vector<LineAccess> runs = workload_runs(GetParam(), 16);
+  ConfigFamily fam;
+  fam.line_size = 16;
+  for (const unsigned sets : {2u, 16u, 64u}) {
+    for (const unsigned assoc : {1u, 4u}) {
+      CacheConfig cfg;
+      cfg.line_size = 16;
+      cfg.associativity = assoc;
+      cfg.size = static_cast<Bytes>(sets) * assoc * 16;
+      fam.configs.push_back(cfg);
+    }
+  }
+  EXPECT_EQ(StackSimulator(fam).levels(), (std::vector<unsigned>{1, 4, 6}));
+  expect_oracle_match(fam, runs, "skipped levels");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadOracle,

@@ -550,6 +550,44 @@ TEST(ProtocolTest, NegativeOrMalformedSizeGetsAnErrorReply) {
                PreconditionError);
 }
 
+TEST(ProtocolTest, UnsignedFieldsRejectValuesPast32Bits) {
+  // 2^32 + 2 used to wrap to 2 (an associativity-2 cache, sharing that
+  // cache entry) and 2^32 to 0; every narrowed key now refuses the value
+  // and names itself. 2^32 - 1 still parses.
+  struct Case {
+    const char* key;
+    std::string request;
+  };
+  const auto evaluate = [](const std::string& job) {
+    return R"({"op":"evaluate","workload":"adpcm","job":)" + job + "}";
+  };
+  const std::vector<Case> cases = {
+      {"associativity",
+       evaluate(R"({"kind":"cache_only","cache":{"size":1024,"line_size":16,"associativity":4294967298}})")},
+      {"max_regions",
+       evaluate(R"({"kind":"loopcache","size":256,"max_regions":4294967296})")},
+      {"ilp_threads",
+       evaluate(R"({"kind":"casa","size":512,"casa":{"ilp_threads":4294967297}})")},
+      {"ilp_subtree_depth",
+       evaluate(R"({"kind":"casa","size":512,"casa":{"ilp_subtree_depth":4294967296}})")},
+      {"max_regions",
+       R"({"op":"sweep","workload":"adpcm","spm":[256],"flows":["loopcache"],"max_regions":4294967296})"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.request);
+    try {
+      (void)svc::parse_request(c.request);
+      ADD_FAILURE() << "request accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+  }
+  const svc::Request widest = svc::parse_request(evaluate(
+      R"({"kind":"casa","size":512,"casa":{"ilp_subtree_depth":4294967295}})"));
+  EXPECT_EQ(widest.jobs[0].casa.ilp_subtree_depth, 4294967295u);
+}
+
 TEST(ProtocolTest, WarmHitResponseIsByteIdenticalUpToProvenance) {
   svc::EvalService service;
   const Job job = Job::steinke_job(small_cache(), 256);

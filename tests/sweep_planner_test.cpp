@@ -6,7 +6,9 @@
 // sweep (groupable LRU configs, FIFO/round-robin fallback, CASA/Steinke
 // singletons, a loop-cache job, duplicates), per-shard counter parity for
 // the keys a direct replay records, the sweep.* planning metrics, batch
-// job deduplication, and the sweep.stack.mismatch check rule.
+// job deduplication, the sweep.stack.mismatch check rule, and — for CASA
+// jobs sharing a trace program over several LRU geometries — the family
+// conflict-graph pass with its sweep.graph.mismatch rule.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,6 +19,7 @@
 #include "casa/check/diagnostic.hpp"
 #include "casa/check/rules.hpp"
 #include "casa/check/runner.hpp"
+#include "casa/conflict/graph_builder.hpp"
 #include "casa/obs/metrics.hpp"
 #include "casa/obs/tracer.hpp"
 #include "casa/report/workbench.hpp"
@@ -64,6 +67,26 @@ std::vector<Job> mixed_jobs() {
   jobs.push_back(Job::casa_job(cache_cfg(512, 2), 256));
   jobs.push_back(Job::steinke_job(cache_cfg(256, 1), 256));
   jobs.push_back(Job::loopcache_job(cache_cfg(256, 1), 128));
+  return jobs;
+}
+
+/// CASA jobs whose conflict graphs come from one family pass: one line and
+/// SPM size over four LRU geometries (one repeated with other solver
+/// options, so a graph serves two jobs), plus a FIFO job and a lone
+/// geometry at another SPM size that build their own graphs.
+std::vector<Job> casa_family_jobs() {
+  std::vector<Job> jobs;
+  jobs.push_back(Job::casa_job(cache_cfg(256, 1), 256));
+  jobs.push_back(Job::casa_job(cache_cfg(512, 2), 256));
+  jobs.push_back(Job::casa_job(cache_cfg(1024, 4), 256));
+  jobs.push_back(Job::casa_job(cache_cfg(512, 1), 256));
+  core::CasaOptions greedy;
+  greedy.engine = core::CasaEngine::kGreedy;
+  jobs.push_back(Job::casa_job(cache_cfg(512, 2), 256, greedy));
+  jobs.push_back(Job::casa_job(
+      cache_cfg(512, 2, cachesim::ReplacementPolicy::kFifo), 256));
+  jobs.push_back(Job::casa_job(cache_cfg(512, 2), 512));
+  jobs.push_back(Job::cache_only_job(cache_cfg(512, 2)));
   return jobs;
 }
 
@@ -200,6 +223,79 @@ TEST(SweepPlanner, ThreadCountInvariant) {
   // Counters (not spans/gauges — those carry wall time and thread count)
   // must merge to identical values for any worker count.
   EXPECT_EQ(reg1.snapshot().counters, reg3.snapshot().counters);
+}
+
+const char* const kGraphKeys[] = {"conflict.nodes", "conflict.edges"};
+
+TEST(SweepPlanner, CasaFamilyMatchesEvaluateBatch) {
+  const prog::Program program = workloads::by_name("mpeg");
+  const Workbench bench(program);
+  const std::vector<Job> jobs = casa_family_jobs();
+
+  report::BatchOptions serial_opt;
+  serial_opt.threads = 1;
+  MetricsShards direct_shards(jobs.size());
+  const std::vector<report::JobResult> direct =
+      bench.evaluate_batch(jobs, serial_opt, &direct_shards);
+  MetricsShards swept_shards(jobs.size());
+  const std::vector<Outcome> swept =
+      SweepPlanner(bench).run(jobs, 1, &swept_shards);
+  ASSERT_EQ(swept.size(), direct.size());
+  const std::vector<obs::MetricsSnapshot> ds = direct_shards.snapshots();
+  const std::vector<obs::MetricsSnapshot> ss = swept_shards.snapshots();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(direct[i].ok()) << "job " << i;
+    expect_outcome_eq(swept[i], direct[i].outcome, i);
+    for (const char* key : kGraphKeys) {
+      const bool casa = jobs[i].kind == Job::Kind::kCasa;
+      ASSERT_EQ(ss[i].counters.count(key), casa ? 1u : 0u) << key;
+      if (casa) {
+        EXPECT_EQ(ss[i].counters.at(key), ds[i].counters.at(key))
+            << key << " job " << i;
+      }
+    }
+  }
+}
+
+TEST(SweepPlanner, CountsGraphPassesThreadInvariantly) {
+  const prog::Program program = workloads::by_name("mpeg");
+  const std::vector<Job> jobs = casa_family_jobs();
+  const auto run_at = [&](unsigned threads) {
+    obs::MetricsRegistry reg;
+    report::WorkbenchOptions wopt;
+    wopt.metrics = &reg;
+    const Workbench bench(program, wopt);
+    SweepPlanner(bench).run(jobs, threads);
+    return reg.snapshot().counters;
+  };
+  const auto one = run_at(1);
+  // One family: the four LRU geometries at 256 B, five jobs. The FIFO job
+  // and the lone 512 B geometry build their own graphs.
+  EXPECT_EQ(one.at("sweep.graph_passes"), 1u);
+  EXPECT_EQ(one.at("sweep.graph_hits"), 5u);
+  EXPECT_EQ(one.count("sweep.degraded_groups"), 0u);
+  EXPECT_EQ(run_at(3), one);
+}
+
+TEST(CheckGraphSweep, PassesOnEqualGraphsAndFlagsDivergence) {
+  const conflict::ConflictGraph a(2, {10, 20}, {1, 2}, {8, 15},
+                                  {{MemoryObjectId(0), MemoryObjectId(1), 1},
+                                   {MemoryObjectId(1), MemoryObjectId(0), 3}});
+  check::CheckRunner ok_runner;
+  check::check_graph_sweep(a, a, cache_cfg(256, 1), ok_runner);
+  EXPECT_TRUE(ok_runner.ok());
+  EXPECT_EQ(ok_runner.rules_evaluated(), 1u);
+
+  // Node 1 lost a hit to an extra conflict miss, and the edge set moved.
+  const conflict::ConflictGraph b(2, {10, 20}, {1, 2}, {8, 14},
+                                  {{MemoryObjectId(0), MemoryObjectId(1), 1},
+                                   {MemoryObjectId(1), MemoryObjectId(0), 4}});
+  check::CheckRunner runner;
+  check::check_graph_sweep(b, a, cache_cfg(256, 1), runner);
+  EXPECT_FALSE(runner.ok());
+  EXPECT_EQ(runner.error_count(), 2u);  // node 1 and the edge list
+  EXPECT_EQ(runner.diagnostics()[0].rule, "sweep.graph.mismatch");
+  EXPECT_THROW(runner.throw_if_errors(), check::CheckError);
 }
 
 TEST(RunMany, DeduplicatesIdenticalJobs) {

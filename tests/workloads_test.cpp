@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <utility>
 
 #include "casa/trace/executor.hpp"
@@ -14,6 +15,13 @@ struct SizeBand {
   Bytes lo;
   Bytes hi;
 };
+
+// gtest prints each parameter into the test list, and gtest_discover_tests
+// copies that text into the ctest names. Without a printer it dumps the
+// struct's raw bytes, pointer included, so the names changed every build.
+void PrintTo(const SizeBand& band, std::ostream* os) {
+  *os << band.name << " " << band.lo << "-" << band.hi << " B";
+}
 
 // Paper footprints: adpcm ~1 kB, g721 ~4.7 kB, mpeg ~19.5 kB (±15%).
 class WorkloadShapeTest : public ::testing::TestWithParam<SizeBand> {};

@@ -8,6 +8,9 @@
 # current-run invariants: BM_ConflictGraphBuild must stay >= 2x
 # BM_ConflictGraphBuildWordRef (compiled streams), BM_StackSweep must
 # stay >= 3x BM_StackSweepPerConfigRef (one-pass multi-config simulation),
+# BM_ConflictGraphFamily must stay >= 2x
+# BM_ConflictGraphFamilyPerConfigRef (every conflict graph of a geometry
+# family from one stack replay),
 # BM_TraceOverheadNull must stay >= 0.85x BM_TraceOverheadOff (a
 # detached obs::Span is within measurement noise of no span at all),
 # BM_FaultCheckOff must stay >= 0.85x BM_TraceOverheadOff (a disarmed
@@ -275,6 +278,25 @@ elif current:
         if not current.get(name):
             failures.append(
                 f"{name}: required by the one-pass sweep speedup "
+                "invariant but absent from this run")
+
+# Family-graph invariant: building all 12 conflict graphs of a geometry
+# family from one stack replay must stay >= 2x faster than 12 per-config
+# builds on the same stream (measured 2.96-3.50x when the gate was added).
+fast = current.get("BM_ConflictGraphFamily")
+ref = current.get("BM_ConflictGraphFamilyPerConfigRef")
+if fast and ref:
+    speedup = fast / ref
+    print(f"family conflict-graph speedup (12-config family): {speedup:.2f}x")
+    if speedup < 2.0:
+        failures.append(
+            f"family conflict-graph speedup {speedup:.2f}x < 2.0x required")
+elif current:
+    for name in ("BM_ConflictGraphFamily",
+                 "BM_ConflictGraphFamilyPerConfigRef"):
+        if not current.get(name):
+            failures.append(
+                f"{name}: required by the family conflict-graph speedup "
                 "invariant but absent from this run")
 
 # Serve-cache invariant: a content-addressed hit (key + LRU lookup +

@@ -270,7 +270,7 @@ int run(ArgParser& args) {
 
   cachesim::CacheConfig cache = workloads::paper_cache_for(workload);
   if (cache_size != 0) cache.size = cache_size;
-  cache.associativity = static_cast<unsigned>(assoc);
+  cache.associativity = checked_unsigned(assoc, "--assoc");
   cache.policy = policy_from(policy);
   cache.validate();
   if (reg != nullptr) reg->set_config("cache", std::to_string(cache.size));
@@ -283,7 +283,7 @@ int run(ArgParser& args) {
   }
 
   core::CasaOptions copt;
-  copt.ilp_threads = static_cast<unsigned>(ilp_threads);
+  copt.ilp_threads = checked_unsigned(ilp_threads, "--ilp-threads");
   copt.ilp_warm_start = !no_warm_start;
   copt.ilp_presolve = !no_ilp_presolve;
 
@@ -299,7 +299,8 @@ int run(ArgParser& args) {
   } else if (technique == "steinke") {
     job = Job::steinke_job(cache, spm);
   } else if (technique == "loopcache") {
-    job = Job::loopcache_job(cache, spm, static_cast<unsigned>(lc_regions));
+    job = Job::loopcache_job(cache, spm,
+                             checked_unsigned(lc_regions, "--lc-regions"));
   } else {
     throw PreconditionError("unknown --technique: " + technique);
   }

@@ -215,12 +215,12 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry registry;
     svc::ServiceOptions opt;
     opt.cache_bytes = cache_bytes;
-    opt.threads = static_cast<unsigned>(threads);
-    opt.max_retries = static_cast<unsigned>(max_retries);
+    opt.threads = checked_unsigned(threads, "--threads");
+    opt.max_retries = checked_unsigned(max_retries, "--max-retries");
     opt.max_inflight = max_inflight;
-    opt.retry_after_ms = static_cast<unsigned>(retry_after_ms);
+    opt.retry_after_ms = checked_unsigned(retry_after_ms, "--retry-after-ms");
     opt.persist_dir = persist_dir;
-    opt.verify_sample = static_cast<unsigned>(verify_sample);
+    opt.verify_sample = checked_unsigned(verify_sample, "--verify-sample");
     opt.exec_seed = seed;
     opt.fuse_ratio = fuse;
     opt.metrics = &registry;

@@ -21,7 +21,11 @@
 #     the session keeps serving afterwards;
 #   * run F: over --tcp, a request line of exactly the 1 MiB line limit is
 #     served, a longer one answers with one error line and is discarded up
-#     to its newline, and the same connection keeps serving.
+#     to its newline, and the same connection keeps serving;
+#   * run G: values past 32 bits (associativity 2^32 + 2, max_regions
+#     2^32) get one error line naming the key instead of wrapping, and a
+#     genuine 2-way request afterwards is a miss, not a hit on an entry the
+#     wrapped request left behind.
 #
 # Registered as a ctest (serve_check); exits 77 (ctest SKIP) on hosts
 # without python3, hard-fails on a missing casa_serve binary.
@@ -179,6 +183,29 @@ kinds = [r["reply"] for r in replies]
 assert kinds == ["stats", "error", "stats"], replies
 assert "exceeds" in replies[1]["message"], replies[1]
 print("serve_check: run F ok — 1 MiB line served, longer line refused once")
+EOF
+
+echo "serve_check: run G — values past 32 bits refused, no aliased cache entry"
+wide_assoc='{"op":"evaluate","workload":"adpcm","job":{"kind":"cache_only","cache":{"size":1024,"line_size":16,"associativity":4294967298}}}'
+wide_regions='{"op":"evaluate","workload":"adpcm","job":{"kind":"loopcache","size":256,"max_regions":4294967296}}'
+two_way='{"op":"evaluate","workload":"adpcm","job":{"kind":"cache_only","cache":{"size":1024,"line_size":16,"associativity":2}}}'
+printf '%s\n' "$wide_assoc" "$wide_regions" "$two_way" '{"op":"stats"}' \
+  | "$serve" > "$workdir/g.txt"
+python3 - "$workdir/g.txt" << 'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1])]
+errors = [l for l in lines if l.get("reply") == "error"]
+assert len(errors) == 2, f"expected 2 error lines, got {lines}"
+assert "associativity" in errors[0]["message"], errors[0]
+assert "max_regions" in errors[1]["message"], errors[1]
+results = [l for l in lines if l.get("reply") == "result"]
+assert len(results) == 1 and results[0]["status"] == "ok", results
+assert results[0]["provenance"] == "miss", results[0]
+stats = [l for l in lines if l.get("reply") == "stats"]
+assert len(stats) == 1, lines
+assert stats[0]["requests"] == 1 and stats[0]["hits"] == 0, stats[0]
+assert stats[0]["cache_entries"] == 1, stats[0]
+print("serve_check: run G ok — both refused by key, the 2-way request missed")
 EOF
 
 echo "serve_check: PASS"
