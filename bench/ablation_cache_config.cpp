@@ -6,10 +6,11 @@
 // associativity reduces conflict misses and with them CASA's edge — the
 // crossover structure is the interesting output.
 //
-// The 9 configurations × 3 flows go through sim::SweepPlanner: jobs that
-// feed the cache the same fetch stream share one stack-distance replay
-// (LRU rows), the rest fall back to per-config simulation — outcomes and
-// per-row outputs are bit-identical to the serial evaluate_batch runs.
+// The 9 configurations × 3 flows go through one Workbench::evaluate_batch:
+// LRU jobs that feed the cache the same fetch stream share one
+// stack-distance replay, the rest finish by per-config simulation —
+// outcomes and per-row outputs are bit-identical to evaluating each job
+// alone.
 #include <fstream>
 #include <iostream>
 
@@ -17,7 +18,6 @@
 #include "casa/obs/metrics.hpp"
 #include "casa/report/workbench.hpp"
 #include "casa/sim/parallel_runner.hpp"
-#include "casa/sim/sweep_planner.hpp"
 #include "casa/support/table.hpp"
 #include "casa/workloads/workloads.hpp"
 
@@ -53,17 +53,17 @@ int main() {
     }
   }
   sim::MetricsShards shards(jobs.size());
-  const std::vector<report::Outcome> outcomes =
-      sim::SweepPlanner(bench).run(jobs, 0, &shards);
+  const std::vector<report::JobResult> results =
+      bench.evaluate_batch(jobs, {}, &shards);
 
   Table table({"assoc", "policy", "conflict edges", "CASA uJ", "Steinke uJ",
                "improv %", "CASA miss %", "cache-only uJ"});
   std::size_t j = 0;
   for (const unsigned assoc : assocs) {
     for (const auto policy : policies) {
-      const report::Outcome& c = outcomes[j++];
-      const report::Outcome& s = outcomes[j++];
-      const report::Outcome& base = outcomes[j++];
+      const report::Outcome& c = results[j++].outcome;
+      const report::Outcome& s = results[j++].outcome;
+      const report::Outcome& base = results[j++].outcome;
 
       table.row()
           .cell(static_cast<std::uint64_t>(assoc))

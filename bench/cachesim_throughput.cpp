@@ -326,8 +326,10 @@ void BM_ConflictGraphFamilyPerConfigRef(benchmark::State& state) {
 }
 
 // A fixed 8-point CASA sweep on adpcm through Workbench::evaluate_batch;
-// the thread count is the benchmark argument. Items = sweep points evaluated;
-// on a multi-core host items/sec should rise near-linearly with the
+// the thread count is the benchmark argument. Items = sweep points evaluated.
+// Each scratchpad size pairs two cache sizes, and a pair shares no stack
+// replay or family graph build, so every point runs its whole flow as one
+// task: on a multi-core host items/sec should rise near-linearly with the
 // argument (a single-core host shows flat numbers — the determinism test
 // still covers correctness there).
 void BM_ParallelSweep(benchmark::State& state) {

@@ -4,10 +4,10 @@
 // the technique's ranking survives programs the algorithm was not tuned on.
 //
 // Per workload, all (spm size × flow) points go through one
-// sim::SweepPlanner batch across cores — the suite is the repo's largest
+// Workbench::evaluate_batch across cores — the suite is the repo's largest
 // sweep; sweep points that feed the cache the same fetch stream share one
-// stack-distance replay, and the outcomes stay bit-identical to
-// Workbench::evaluate_batch.
+// stack-distance replay, and the outcomes stay bit-identical to evaluating
+// each point alone.
 #include <fstream>
 #include <iostream>
 
@@ -15,7 +15,6 @@
 #include "casa/obs/metrics.hpp"
 #include "casa/report/workbench.hpp"
 #include "casa/sim/parallel_runner.hpp"
-#include "casa/sim/sweep_planner.hpp"
 #include "casa/support/table.hpp"
 #include "casa/workloads/workloads.hpp"
 
@@ -50,8 +49,8 @@ int main() {
       jobs.push_back(report::Workbench::Job::loopcache_job(cache, spm, 4));
     }
     sim::MetricsShards shards(jobs.size());
-    const std::vector<report::Outcome> outcomes =
-        sim::SweepPlanner(bench).run(jobs, 0, &shards);
+    const std::vector<report::JobResult> results =
+        bench.evaluate_batch(jobs, {}, &shards);
     for (obs::MetricsSnapshot& task : shards.snapshots()) {
       task.config["workload"] = name;
       task_snapshots.push_back(std::move(task));
@@ -59,9 +58,9 @@ int main() {
 
     std::size_t j = 0;
     for (const Bytes spm : spm_sizes) {
-      const report::Outcome& c = outcomes[j++];
-      const report::Outcome& s = outcomes[j++];
-      const report::Outcome& l = outcomes[j++];
+      const report::Outcome& c = results[j++].outcome;
+      const report::Outcome& s = results[j++].outcome;
+      const report::Outcome& l = results[j++].outcome;
       const double vs_st =
           100.0 * (1.0 - c.sim.total_energy / s.sim.total_energy);
       const double vs_lc =

@@ -7,14 +7,13 @@
 // reports energy and cycle counts per split.
 //
 // The sweep points are independent, so they are evaluated as one
-// sim::SweepPlanner batch fanned out across cores (pass a thread count as
-// argv[1]; default = hardware concurrency). Sweep points that feed the
+// Workbench::evaluate_batch fanned out across cores (pass a thread count
+// as argv[1]; default = hardware concurrency). Sweep points that feed the
 // cache the same fetch stream share one stack-distance replay; results are
 // ordered, identical for any thread count, and bit-identical to running
 // each point alone.
 //
-// The batch runs fail-soft (run_jobs with fail_fast off and one transient
-// retry): a sweep point that dies is reported as a failed row while every
+// The batch runs fail-soft (fail_fast off and one transient retry): a sweep point that dies is reported as a failed row while every
 // other split still produces data — per-point failure is data in a DSE, not
 // a crash. Try it with injection (docs/faults.md):
 //
@@ -25,7 +24,6 @@
 
 #include "casa/fault/fault.hpp"
 #include "casa/report/workbench.hpp"
-#include "casa/sim/sweep_planner.hpp"
 #include "casa/support/table.hpp"
 #include "casa/workloads/workloads.hpp"
 
@@ -62,7 +60,7 @@ int main(int argc, char** argv) {
   bopt.fail_fast = false;  // keep healthy splits when one point dies
   bopt.max_retries = 1;    // transient failures get one deterministic retry
   const std::vector<report::JobResult> results =
-      sim::SweepPlanner(bench).run_jobs(jobs, bopt);
+      bench.evaluate_batch(jobs, bopt);
 
   Table table({"cache B", "SPM B", "energy uJ", "cache miss %", "SPM fetch %",
                "cycles M", "status"});

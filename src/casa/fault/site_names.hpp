@@ -29,9 +29,9 @@ inline constexpr std::string_view kSimFinish = "fault.sim.finish";
 inline constexpr std::string_view kSolverAllocate = "fault.solver.allocate";
 
 // ---- one-pass sweep engine ----
-/// Start of a shared SweepPlanner stack pass (arg = representative job).
+/// Start of a shared evaluate_batch stack pass (arg = representative job).
 inline constexpr std::string_view kSweepStackPass = "fault.sweep.stack_pass";
-/// Start of a shared SweepPlanner family conflict-graph build (arg =
+/// Start of a shared evaluate_batch family conflict-graph build (arg =
 /// representative job).
 inline constexpr std::string_view kSweepGraphPass = "fault.sweep.graph_pass";
 

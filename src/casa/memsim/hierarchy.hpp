@@ -106,8 +106,8 @@ SimReport simulate_cache_only(const traceopt::TraceProgram& tp,
 /// Derives the full report (energies) from externally produced counters —
 /// the exact computation the simulators above apply to their own counters,
 /// so counter-identical inputs yield bit-identical reports. Used by the
-/// one-pass sweep engine (sim::SweepPlanner), which produces counters for
-/// many configurations from a single stack pass.
+/// one-pass sweep engine (Workbench::evaluate_batch), which produces
+/// counters for many configurations from a single stack pass.
 SimReport report_from_counters(const SimCounters& counters,
                                const energy::EnergyTable& energies,
                                bool loop_cache);

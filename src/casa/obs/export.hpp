@@ -34,7 +34,7 @@ namespace casa::obs {
 struct ArtifactOptions {
   /// Name of the producing binary, written to run.tool.
   std::string tool = "casa";
-  /// Optional per-task snapshots (e.g. one per run_many job); exported as
+  /// Optional per-task snapshots (e.g. one per evaluate_batch job); exported as
   /// the "tasks" array in index order.
   const std::vector<MetricsSnapshot>* tasks = nullptr;
 };

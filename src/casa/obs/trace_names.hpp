@@ -35,7 +35,6 @@ inline constexpr std::string_view kAllocation = "allocation";
 inline constexpr std::string_view kSimulation = "simulation";
 
 // ---- batch / sweep spans ----
-inline constexpr std::string_view kRunMany = "run_many";
 inline constexpr std::string_view kTask = "task";
 inline constexpr std::string_view kSweep = "sweep";
 inline constexpr std::string_view kSweepStackPass = "sweep.stack_pass";
@@ -82,7 +81,7 @@ inline constexpr std::string_view kAll[] = {
     kProfiling,    kRunCasa,      kRunSteinke,
     kRunLoopcache, kRunCacheOnly, kTraceFormation,
     kLayout,       kConflictGraph, kAllocation,
-    kSimulation,   kRunMany,      kTask,
+    kSimulation,   kTask,
     kSweep,        kSweepStackPass, kIlpSubtree,
     kIlpIncumbent, kIlpPresolve,  kIlpWarmStart,
     kIlpRcFixed,   kIlpNodes,     kIlpPrunes,

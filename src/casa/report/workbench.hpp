@@ -7,8 +7,11 @@
 // Benches, examples and integration tests all drive experiments through
 // this type so the methodology is identical everywhere. The whole surface
 // is two calls: evaluate(job) for one configuration, evaluate_batch(jobs)
-// for a fault-contained fan-out; the historical run_* / run_many /
-// run_jobs entry points remain as deprecated shims over them.
+// for a fault-contained fan-out. evaluate_batch is also the one-pass sweep
+// engine: it deduplicates the batch, builds each CASA geometry family's
+// conflict graphs from one stack replay and finishes each group of jobs
+// that feed the cache one fetch stream from one stack replay, with
+// Outcomes bit-identical to evaluating every job alone (docs/sweep.md).
 #pragma once
 
 #include <cstdint>
@@ -52,12 +55,12 @@ struct WorkbenchOptions {
   /// Steinke moves objects (paper-faithful). Setting this to false gives
   /// Steinke CASA's copy semantics — the move-vs-copy ablation.
   bool steinke_moves = true;
-  /// Telemetry sink. When set, every run_* records per-stage spans
+  /// Telemetry sink. When set, every evaluated job records per-stage spans
   /// (trace_formation / layout / conflict_graph / allocation / simulation)
-  /// and pipeline counters here; run_many records per job into a private
-  /// shard and folds the shards in job order, so merged counters are
-  /// thread-count invariant. Null (the default) disables all recording —
-  /// the instrumented paths cost nothing beyond a pointer test.
+  /// and pipeline counters here; evaluate_batch records per job into a
+  /// private shard and folds the shards in job order, so merged counters
+  /// are thread-count invariant. Null (the default) disables all recording
+  /// — the instrumented paths cost nothing beyond a pointer test.
   obs::MetricsRegistry* metrics = nullptr;
   /// Run the casa::check artifact analyzer between pipeline stages in every
   /// flow: trace padding and layout legality after layout, conflict-graph
@@ -153,10 +156,10 @@ enum class JobStatus {
 
 std::string_view to_string(JobStatus status);
 
-/// Structured per-job outcome of Workbench::evaluate / evaluate_batch /
-/// sim::SweepPlanner::run_jobs. Healthy jobs carry their Outcome; failed
-/// jobs carry the original exception plus a stable classification so batch
-/// drivers can report per-point failures as data instead of crashing.
+/// Structured per-job outcome of Workbench::evaluate / evaluate_batch.
+/// Healthy jobs carry their Outcome; failed jobs carry the original
+/// exception plus a stable classification so batch drivers can report
+/// per-point failures as data instead of crashing.
 struct JobResult {
   JobStatus status = JobStatus::kOk;
   Outcome outcome;           ///< valid only when ok()
@@ -169,8 +172,7 @@ struct JobResult {
   bool ok() const { return status != JobStatus::kFailed; }
 
   /// The Outcome, or — for failed jobs — the original exception rethrown.
-  /// `evaluate(job).value()` is the drop-in spelling of the historical
-  /// throwing run_* contract.
+  /// `evaluate(job).value()` is the throwing spelling of evaluate.
   const Outcome& value() const {
     if (!ok()) std::rethrow_exception(error);
     return outcome;
@@ -182,8 +184,10 @@ struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial.
   unsigned threads = 0;
   /// Rethrow the lowest-indexed failed job's original exception after the
-  /// whole batch finishes (the historical run_many contract). False keeps
-  /// every failure contained in its JobResult.
+  /// whole batch finishes; a failing shared pass (a stack replay or a
+  /// family graph build) then fails the batch too. False keeps every
+  /// failure contained in its JobResult and degrades failing shared passes
+  /// to per-job work.
   bool fail_fast = true;
   /// Per-job retry budget for transient-classed failures (fault::
   /// TransientError); non-transient errors never retry.
@@ -226,19 +230,18 @@ class Workbench {
 
     /// Field-wise equality — two equal jobs provably produce the same
     /// Outcome (every flow is deterministic given its parameters), which is
-    /// what lets run_many and the sweep planner deduplicate repeated sweep
-    /// points.
+    /// what lets evaluate_batch deduplicate repeated sweep points.
     friend bool operator==(const Job&, const Job&) = default;
   };
 
   /// A job carried through every pipeline stage except the final hierarchy
-  /// replay: trace formation, layout, conflict graph + allocation (flow
-  /// permitting), energy table — with the same artifact checks and
-  /// per-stage spans the run_* methods record. `partial` holds every
-  /// Outcome field but `.sim`; finish_job / finish_with_counters complete
-  /// it. The split exists for sim::SweepPlanner, which prepares many jobs,
-  /// replaces their per-config replays with one shared stack pass, and
-  /// finishes each from externally derived counters.
+  /// replay: trace formation, layout, energy table, conflict graph +
+  /// allocation (flow permitting) — with the same artifact checks and
+  /// per-stage spans evaluate records. `partial` holds every Outcome field
+  /// but `.sim`; finish_job completes it. The split exists for
+  /// evaluate_batch, which prepares many jobs, replaces their per-config
+  /// replays with one shared stack pass, and finishes each from the
+  /// counters that pass derives.
   struct PreparedJob {
     Job job;
     std::shared_ptr<const traceopt::TraceProgram> tp;
@@ -253,141 +256,79 @@ class Workbench {
 
   /// Runs every stage of `job`'s flow except the hierarchy replay,
   /// recording the flow's spans and stage counters into `reg` (null = no
-  /// telemetry). prepare_job + finish_job ≡ the matching run_* method.
-  /// A CASA job may bring its conflict graph, built by the caller for
-  /// form(job), layout_all and job.cache (the sweep planner builds a whole
-  /// geometry family in one pass); the flow then uses it in place of its
-  /// own build and still records and checks it. Other flows ignore it.
+  /// telemetry). prepare_job + finish_job ≡ evaluate(job). A CASA job may
+  /// bring its conflict graph — evaluate_batch passes the one its family
+  /// pass built for the job's trace program, layout and cache; the flow
+  /// then uses it in place of its own build and still records and checks
+  /// it. Other flows ignore it.
   PreparedJob prepare_job(const Job& job, obs::MetricsRegistry* reg,
                           const conflict::ConflictGraph* graph = nullptr) const;
 
-  /// Trace-formation budget of `job`'s flow: the cache-only flow forms
-  /// with 1 KiB, every other flow with its scratchpad / loop-cache
-  /// capacity, never below one cache line. Jobs with equal line size and
-  /// budget form the same trace program.
-  static Bytes trace_budget(const Job& job);
-
-  /// The trace program `job`'s flow forms.
-  traceopt::TraceProgram form(const Job& job) const;
-
   /// Completes a prepared job by direct hierarchy simulation — the exact
-  /// replay the matching run_* method would have performed.
+  /// replay evaluate(job) performs.
   Outcome finish_job(const PreparedJob& pj, obs::MetricsRegistry* reg) const;
-
-  /// Completes a prepared job from externally produced counters (the
-  /// one-pass sweep engine): derives energies via
-  /// memsim::report_from_counters and records the same sim.* / cache.*
-  /// telemetry a direct replay would. Counter-identical inputs therefore
-  /// yield bit-identical Outcomes.
-  Outcome finish_with_counters(const PreparedJob& pj,
-                               const memsim::SimCounters& counters,
-                               obs::MetricsRegistry* reg) const;
 
   const WorkbenchOptions& options() const { return opt_; }
 
   /// Evaluates one job through its full flow, fault-contained: the result
   /// always comes back as a JobResult (never throws), with failures
   /// classified and the original exception preserved. Telemetry records
-  /// into options().metrics when that is set. `evaluate(job).value()`
-  /// restores the historical throwing contract of the run_* methods.
+  /// into options().metrics when that is set, under one flow span.
   JobResult evaluate(const Job& job) const;
 
-  /// Fault-contained batch evaluation: every healthy job completes no
-  /// matter how many others fail, failed jobs come back as structured
-  /// JobResults (in job order, thread-count invariant), and transient
-  /// failures retry per `opt.max_retries` with deterministic backoff.
-  /// Fanning out across opt.threads workers (0 = hardware concurrency,
-  /// 1 = serial). Identical jobs are evaluated once: duplicates share the
-  /// first occurrence's JobResult (and record nothing of their own), with
-  /// "runner.dedup_hits" counting the jobs skipped. Jobs record into a
-  /// fresh per-attempt registry that merges into their shard only on
-  /// success, so merged counters reflect completed jobs only — per-shard
-  /// merging in job order keeps merged counters identical for any thread
-  /// count. With opt.fail_fast (the default) the lowest-indexed failure is
-  /// rethrown after the batch drains — run_many's historical contract —
-  /// otherwise a run.partial_failure check diagnostic reports degraded
-  /// batches through options().metrics. When `shards` is non-null, job i
-  /// records into shards->shard(i) (shards->size() must equal
-  /// jobs.size()) and the caller keeps the per-task breakdown.
+  /// Fault-contained batch evaluation, and the one-pass sweep engine
+  /// (docs/sweep.md). Every healthy job completes no matter how many others
+  /// fail; failed jobs come back as structured JobResults (in job order,
+  /// thread-count invariant), and transient failures retry per
+  /// `opt.max_retries` with deterministic backoff. Work fans out across
+  /// opt.threads workers (0 = hardware concurrency, 1 = serial).
+  ///
+  /// Every Outcome is bit-identical to evaluate(job), but the batch shares
+  /// work: identical jobs run once (duplicates record nothing of their
+  /// own); at least three LRU jobs that feed the cache one fetch stream
+  /// replay it once through cachesim::StackSimulator; at least three LRU
+  /// CASA geometries over one trace program take their conflict graphs
+  /// from one replay. Every other job runs its whole flow in one task, as
+  /// evaluate does. With options().check_artifacts each shared pass is
+  /// cross-checked against a direct build of one member first; a pass that
+  /// fails degrades its members to per-job work unless opt.fail_fast is
+  /// set.
+  ///
+  /// Jobs record into a fresh per-attempt registry that merges into their
+  /// shard only on success, so merged counters reflect completed jobs only;
+  /// per-shard merging in job order keeps them identical for any thread
+  /// count. The merged view plus the runner.* and sweep.* batch counters
+  /// fold into options().metrics when that is set. With opt.fail_fast (the
+  /// default) the lowest-indexed failure is rethrown after the batch
+  /// drains, otherwise a run.partial_failure check diagnostic reports
+  /// degraded batches through options().metrics. When `shards` is
+  /// non-null, job i records into shards->shard(i) (shards->size() must
+  /// equal jobs.size()) and the caller keeps the per-task breakdown.
   std::vector<JobResult> evaluate_batch(
       std::span<const Job> jobs, const BatchOptions& opt = {},
       sim::MetricsShards* shards = nullptr) const;
 
-  // Historical entry points, kept as thin shims over evaluate /
-  // evaluate_batch so existing drivers keep compiling with a deprecation
-  // nudge instead of breaking.
-
-  /// CASA: conflict-graph ILP allocation, copy semantics.
-  [[deprecated("use evaluate(Job::casa_job(...)).value()")]]
-  Outcome run_casa(const cachesim::CacheConfig& cache, Bytes spm_size,
-                   const core::CasaOptions& copt = {}) const;
-
-  /// Steinke DATE'02: fetch-count knapsack, move semantics (see options).
-  [[deprecated("use evaluate(Job::steinke_job(...)).value()")]]
-  Outcome run_steinke(const cachesim::CacheConfig& cache,
-                      Bytes spm_size) const;
-
-  /// Gordon-Ross/Vahid preloaded loop cache.
-  [[deprecated("use evaluate(Job::loopcache_job(...)).value()")]]
-  Outcome run_loopcache(const cachesim::CacheConfig& cache, Bytes lc_size,
-                        unsigned max_regions = 4) const;
-
-  /// Reference: I-cache only.
-  [[deprecated("use evaluate(Job::cache_only_job(...)).value()")]]
-  Outcome run_cache_only(const cachesim::CacheConfig& cache) const;
-
-  /// evaluate_batch with the fail-fast Outcome-only view.
-  [[deprecated("use evaluate_batch(jobs) and read .value() per result")]]
-  std::vector<Outcome> run_many(const std::vector<Job>& jobs,
-                                unsigned threads = 0) const;
-
-  /// evaluate_batch with caller-owned per-task metrics, Outcome-only view.
-  [[deprecated("use evaluate_batch(jobs, {.threads = n}, shards)")]]
-  std::vector<Outcome> run_many(const std::vector<Job>& jobs, unsigned threads,
-                                sim::MetricsShards* shards) const;
-
-  /// The old name of evaluate_batch.
-  [[deprecated("use evaluate_batch(jobs, opt, shards)")]]
-  std::vector<JobResult> run_jobs(const std::vector<Job>& jobs,
-                                  const BatchOptions& opt = {},
-                                  sim::MetricsShards* shards = nullptr) const;
-
  private:
-  JobResult evaluate_job(const Job& job, std::size_t job_idx,
-                         const BatchOptions& opt,
-                         obs::MetricsRegistry* shard) const;
-  PreparedJob prepare_casa(obs::MetricsRegistry* reg, check::CheckRunner* chk,
-                           const cachesim::CacheConfig& cache, Bytes spm_size,
-                           const core::CasaOptions& copt,
-                           const conflict::ConflictGraph* given) const;
-  PreparedJob prepare_steinke(obs::MetricsRegistry* reg,
-                              check::CheckRunner* chk,
-                              const cachesim::CacheConfig& cache,
-                              Bytes spm_size) const;
-  PreparedJob prepare_loopcache(obs::MetricsRegistry* reg,
-                                check::CheckRunner* chk,
-                                const cachesim::CacheConfig& cache,
-                                Bytes lc_size, unsigned max_regions) const;
-  PreparedJob prepare_cache_only(obs::MetricsRegistry* reg,
-                                 check::CheckRunner* chk,
-                                 const cachesim::CacheConfig& cache) const;
+  /// Trace-formation budget of `job`'s flow: the cache-only flow forms
+  /// with 1 KiB, every other flow with its scratchpad / loop-cache
+  /// capacity, never below one cache line. Jobs with equal line size and
+  /// budget form the same trace program.
+  static Bytes trace_budget(const Job& job);
+  /// The trace program `job`'s flow forms.
+  traceopt::TraceProgram form(const Job& job) const;
+  /// The whole flow of `job`: prepare + finish under one flow span.
+  Outcome run(const Job& job, obs::MetricsRegistry* reg) const;
   PreparedJob prepare_core(const Job& job, obs::MetricsRegistry* reg,
                            check::CheckRunner* chk,
                            const conflict::ConflictGraph* graph) const;
   Outcome finish_core(const PreparedJob& pj, obs::MetricsRegistry* reg) const;
-
-  Outcome run_casa_into(obs::MetricsRegistry* reg,
-                        const cachesim::CacheConfig& cache, Bytes spm_size,
-                        const core::CasaOptions& copt) const;
-  Outcome run_steinke_into(obs::MetricsRegistry* reg,
-                           const cachesim::CacheConfig& cache,
-                           Bytes spm_size) const;
-  Outcome run_loopcache_into(obs::MetricsRegistry* reg,
-                             const cachesim::CacheConfig& cache, Bytes lc_size,
-                             unsigned max_regions) const;
-  Outcome run_cache_only_into(obs::MetricsRegistry* reg,
-                              const cachesim::CacheConfig& cache) const;
-  Outcome run_job(const Job& job, obs::MetricsRegistry* reg) const;
+  /// Completes a prepared job from counters a stack pass derived: energies
+  /// via memsim::report_from_counters, plus the sim.* / cache.* telemetry a
+  /// direct replay records. Counter-identical inputs therefore yield
+  /// bit-identical Outcomes.
+  Outcome finish_with_counters(const PreparedJob& pj,
+                               const memsim::SimCounters& counters,
+                               obs::MetricsRegistry* reg) const;
 
   const prog::Program* program_;
   WorkbenchOptions opt_;
@@ -400,8 +341,8 @@ class Workbench {
 check::BatchSummary batch_summary_of(const std::vector<JobResult>& results);
 
 /// Builds a kFailed JobResult from `error`: stable kind classification,
-/// what() message, attempt count. Shared by every batch engine so failures
-/// classify identically whether they surface in run_jobs or in the sweep.
+/// what() message, attempt count. Shared by evaluate, evaluate_batch and
+/// svc::EvalService so failures classify identically everywhere.
 JobResult failed_job_result(std::exception_ptr error, unsigned attempts);
 
 }  // namespace casa::report

@@ -90,47 +90,42 @@ class ParallelRunner {
   std::vector<R> map_collect(std::size_t count, F&& fn,
                              std::vector<TaskFailure>& failures) const {
     std::vector<R> results(count);
-    // Errors are captured per index inside the task body — deterministic
-    // attribution that does not depend on pool bookkeeping or schedule.
-    std::vector<std::exception_ptr> errors(count);
     obs::Tracer* const tracer = obs::Tracer::current();
-    const auto run_one = [&results, &errors, &fn, this](std::size_t i) {
-      try {
-        results[i] = fn(i, task_seed(opt_.seed, i));
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    };
     if (threads_ == 1 || count <= 1) {
       for (std::size_t i = 0; i < count; ++i) {
         const obs::TraceSpan task(tracer, obs::trace_names::kTask,
                                   obs::trace_names::kCatSim);
-        run_one(i);
-      }
-    } else {
-      // Flow tails are emitted on this thread, inside whatever span
-      // encloses the map() call; each worker's "task" span carries the
-      // matching head.
-      std::vector<std::uint64_t> flows;
-      if (tracer != nullptr) {
-        flows.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          flows.push_back(tracer->flow_begin(obs::trace_names::kTask,
-                                             obs::trace_names::kCatSim));
+        try {
+          results[i] = fn(i, task_seed(opt_.seed, i));
+        } catch (...) {
+          failures.push_back(TaskFailure{i, std::current_exception()});
         }
       }
-      for (std::size_t i = 0; i < count; ++i) {
-        pool_->submit([&run_one, &flows, tracer, i] {
-          const obs::TraceSpan task(tracer, obs::trace_names::kTask,
-                                    obs::trace_names::kCatSim,
-                                    flows.empty() ? 0 : flows[i]);
-          run_one(i);
-        });
-      }
-      pool_->wait();
+      return results;
     }
+    // Flow tails are emitted on this thread, inside whatever span encloses
+    // the map() call; each worker's "task" span carries the matching head.
+    std::vector<std::uint64_t> flows;
+    if (tracer != nullptr) {
+      flows.reserve(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        flows.push_back(tracer->flow_begin(obs::trace_names::kTask,
+                                           obs::trace_names::kCatSim));
+      }
+    }
+    // The pool numbers a batch's submissions from 0, so each captured
+    // failure's submission index is its task index, in index order
+    // whatever the schedule.
     for (std::size_t i = 0; i < count; ++i) {
-      if (errors[i] != nullptr) failures.push_back(TaskFailure{i, errors[i]});
+      pool_->submit([&results, &fn, &flows, tracer, this, i] {
+        const obs::TraceSpan task(tracer, obs::trace_names::kTask,
+                                  obs::trace_names::kCatSim,
+                                  flows.empty() ? 0 : flows[i]);
+        results[i] = fn(i, task_seed(opt_.seed, i));
+      });
+    }
+    for (const support::TaskError& e : pool_->wait_collect()) {
+      failures.push_back(TaskFailure{e.task_index, e.error});
     }
     return results;
   }

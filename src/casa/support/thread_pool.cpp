@@ -1,7 +1,10 @@
 #include "casa/support/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+
+#include "casa/support/error.hpp"
 
 namespace casa::support {
 
@@ -21,6 +24,11 @@ void set_this_thread_ident(int worker_index, std::string name) {
 }
 
 unsigned ThreadPool::resolve(unsigned threads) {
+  if (threads > kMaxThreads) {
+    throw PreconditionError("thread count " + std::to_string(threads) +
+                            " is above the limit of " +
+                            std::to_string(kMaxThreads));
+  }
   if (threads != 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;

@@ -50,8 +50,9 @@ struct TaskError {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 means hardware_concurrency (at least 1).
-  /// Workers ident themselves as "<name>-<index>" (see ThreadIdent).
+  /// Spawns resolve(threads) workers; 0 means hardware_concurrency (at
+  /// least 1). Workers ident themselves as "<name>-<index>" (see
+  /// ThreadIdent).
   explicit ThreadPool(unsigned threads = 0, std::string name = "worker");
   ~ThreadPool();
 
@@ -77,7 +78,15 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size());
   }
 
+  /// Largest explicit thread count resolve() accepts. Every pool size
+  /// passes through resolve — ilp_threads from a serve request, a
+  /// casa-result artifact or casa_cli --ilp-threads, casa_serve --threads,
+  /// BatchOptions::threads — so a hostile count fails there, before any
+  /// thread starts.
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// Resolves a thread-count request: 0 -> hardware concurrency, floor 1.
+  /// Throws PreconditionError for a count above kMaxThreads.
   static unsigned resolve(unsigned threads);
 
  private:

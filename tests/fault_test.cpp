@@ -7,10 +7,9 @@
 // obs::write_artifact_guarded through every action and assert that a
 // retried or corrupted write still commits a clean payload. The matrix
 // tests inject at every simulation/solver/sweep site through
-// Workbench::evaluate_batch and SweepPlanner::run_jobs and hold the
-// isolation invariant: the targeted job fails (or retries) alone, every
-// other job's
-// Outcome is bit-identical to a fault-free run, for any thread count.
+// Workbench::evaluate_batch and hold the isolation invariant: the targeted
+// job fails (or retries) alone, every other job's Outcome is bit-identical
+// to a fault-free run, for any thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include "casa/obs/trace_names.hpp"
 #include "casa/obs/tracer.hpp"
 #include "casa/report/workbench.hpp"
-#include "casa/sim/sweep_planner.hpp"
 #include "casa/support/error.hpp"
 #include "casa/workloads/workloads.hpp"
 
@@ -467,13 +465,14 @@ TEST_F(FaultTest, TraceHookEmitsInjectionAndRetryInstants) {
 /// associativity (one stack pass serves the whole sets x assoc family), so
 /// the second family needs a different line size to form its own group:
 /// jobs 0-3 (line 16) share one fetch stream — the faulted group, with
-/// rep_job = 0 — and jobs 4-5 (line 32) the other.
+/// rep_job = 0 — and jobs 4-6 (line 32) the other, three members so that it
+/// still earns a stack pass of its own.
 std::vector<Job> sweep_jobs() {
   std::vector<Job> jobs;
   for (const Bytes size : {128u, 256u, 512u, 1024u}) {
     jobs.push_back(Job::cache_only_job(cache_cfg(size, 1)));
   }
-  for (const Bytes size : {256u, 1024u}) {
+  for (const Bytes size : {256u, 512u, 1024u}) {
     cachesim::CacheConfig wide = cache_cfg(size, 2);
     wide.line_size = 32;
     jobs.push_back(Job::cache_only_job(wide));
@@ -490,21 +489,19 @@ TEST_F(FaultTest, SweepDegradesTheFaultedGroupAndKeepsResults) {
 
   // Fault-free baseline on the uninstrumented bench: metrics never change
   // outcomes, so it doubles as the reference for the instrumented run.
-  const std::vector<JobResult> base =
-      sim::SweepPlanner(bench()).run_jobs(jobs, bopt);
+  const std::vector<JobResult> base = bench().evaluate_batch(jobs, bopt);
   for (const JobResult& r : base) ASSERT_TRUE(r.ok());
 
   obs::MetricsRegistry reg;
   report::WorkbenchOptions wopt;
   wopt.metrics = &reg;
   const Workbench instrumented(adpcm(), wopt);
-  const sim::SweepPlanner planner(instrumented);
 
   // A permanent fault in group 0's shared stack pass degrades that group to
   // per-member direct finishes — same outcomes, one degraded-group mark.
   fault::arm(fault::parse_spec(
       spec_for(sites::kSweepStackPass, "throw", "arg=0")));
-  const std::vector<JobResult> got = planner.run_jobs(jobs, bopt);
+  const std::vector<JobResult> got = instrumented.evaluate_batch(jobs, bopt);
   fault::disarm();
   ASSERT_EQ(got.size(), base.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -519,14 +516,14 @@ TEST_F(FaultTest, SweepDegradesTheFaultedGroupAndKeepsResults) {
 }
 
 TEST_F(FaultTest, SweepFailFastStillThrowsInjectedFaults) {
-  const sim::SweepPlanner planner(bench());
   fault::arm(fault::parse_spec(
       spec_for(sites::kSweepStackPass, "throw", "arg=0")));
-  EXPECT_THROW(planner.run(sweep_jobs(), 2), fault::FaultError);
+  BatchOptions bopt;
+  bopt.threads = 2;
+  EXPECT_THROW(bench().evaluate_batch(sweep_jobs(), bopt), fault::FaultError);
 }
 
 TEST_F(FaultTest, SweepUnderFaultIsThreadCountInvariant) {
-  const sim::SweepPlanner planner(bench());
   const std::vector<Job> jobs = sweep_jobs();
   BatchOptions bopt;
   bopt.fail_fast = false;
@@ -536,7 +533,7 @@ TEST_F(FaultTest, SweepUnderFaultIsThreadCountInvariant) {
     fault::arm(fault::parse_spec(
         spec_for(sites::kSweepStackPass, "throw", "arg=0")));
     bopt.threads = threads;
-    const std::vector<JobResult> r = planner.run_jobs(jobs, bopt);
+    const std::vector<JobResult> r = bench().evaluate_batch(jobs, bopt);
     fault::disarm();
     return r;
   };
@@ -568,8 +565,7 @@ TEST_F(FaultTest, GraphPassFaultDegradesThatFamilyToPerJobBuilds) {
   bopt.threads = 2;
   bopt.fail_fast = false;
   bopt.retry_backoff_us = 1;
-  const std::vector<JobResult> base =
-      sim::SweepPlanner(bench()).run_jobs(jobs, bopt);
+  const std::vector<JobResult> base = bench().evaluate_batch(jobs, bopt);
   for (const JobResult& r : base) ASSERT_TRUE(r.ok());
 
   obs::MetricsRegistry reg;
@@ -578,8 +574,7 @@ TEST_F(FaultTest, GraphPassFaultDegradesThatFamilyToPerJobBuilds) {
   const Workbench instrumented(adpcm(), wopt);
   fault::arm(fault::parse_spec(
       spec_for(sites::kSweepGraphPass, "throw", "arg=0")));
-  const std::vector<JobResult> got =
-      sim::SweepPlanner(instrumented).run_jobs(jobs, bopt);
+  const std::vector<JobResult> got = instrumented.evaluate_batch(jobs, bopt);
   fault::disarm();
   ASSERT_EQ(got.size(), base.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -595,10 +590,12 @@ TEST_F(FaultTest, GraphPassFaultDegradesThatFamilyToPerJobBuilds) {
 }
 
 TEST_F(FaultTest, GraphPassFaultRethrowsUnderFailFast) {
-  const sim::SweepPlanner planner(bench());
   fault::arm(fault::parse_spec(
       spec_for(sites::kSweepGraphPass, "throw", "arg=0")));
-  EXPECT_THROW(planner.run(graph_family_jobs(), 2), fault::FaultError);
+  BatchOptions bopt;
+  bopt.threads = 2;
+  EXPECT_THROW(bench().evaluate_batch(graph_family_jobs(), bopt),
+               fault::FaultError);
 }
 
 }  // namespace

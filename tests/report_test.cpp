@@ -120,18 +120,5 @@ TEST(Outcome, WrongFlowAccessThrowsStructuredFlowError) {
   EXPECT_NO_THROW((void)casa.conflict_edges());
 }
 
-TEST(Workbench, DeprecatedShimsMatchTheUnifiedApi) {
-  const prog::Program program = workloads::make_adpcm();
-  const Workbench wb(program);
-  const auto cache = workloads::paper_cache_for("adpcm");
-  const Outcome unified =
-      wb.evaluate(Workbench::Job::steinke_job(cache, 128)).value();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const Outcome legacy = wb.run_steinke(cache, 128);
-#pragma GCC diagnostic pop
-  EXPECT_TRUE(legacy == unified);
-}
-
 }  // namespace
 }  // namespace casa::report

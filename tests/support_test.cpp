@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <sstream>
+#include <string>
+#include <system_error>
 #include <unordered_set>
 
 #include "casa/support/error.hpp"
@@ -9,6 +12,7 @@
 #include "casa/support/interval_map.hpp"
 #include "casa/support/rng.hpp"
 #include "casa/support/table.hpp"
+#include "casa/support/thread_pool.hpp"
 #include "casa/support/units.hpp"
 
 namespace casa {
@@ -260,6 +264,40 @@ TEST(Error, CheckMacroThrowsWithContext) {
 
 TEST(Error, CheckMacroPassesSilently) {
   EXPECT_NO_THROW(CASA_CHECK(true, "never"));
+}
+
+// ----------------------------------------------------------- ThreadPool ---
+
+/// Threads of this process right now (Linux /proc; 0 where it is absent).
+std::size_t live_threads() {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadPool, RefusesCountsAboveTheCapBeforeSpawning) {
+  using support::ThreadPool;
+  EXPECT_EQ(ThreadPool::resolve(ThreadPool::kMaxThreads),
+            ThreadPool::kMaxThreads);
+  try {
+    (void)ThreadPool::resolve(ThreadPool::kMaxThreads + 1);
+    FAIL() << "count above the cap accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  std::to_string(ThreadPool::kMaxThreads + 1)),
+              std::string::npos)
+        << e.what();
+  }
+  // The constructor resolves before it spawns: it throws with no worker
+  // started (a started one would still be joinable and abort the process).
+  const std::size_t before = live_threads();
+  EXPECT_THROW(ThreadPool pool(ThreadPool::kMaxThreads + 1),
+               PreconditionError);
+  EXPECT_EQ(live_threads(), before);
 }
 
 }  // namespace

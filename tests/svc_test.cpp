@@ -8,8 +8,10 @@
 // single-flight coalescing (deterministically via duplicate batches,
 // concurrently via 8 threads against a delayed compute), persistence
 // round-trips with corrupted-artifact degradation, admission/cache-load
-// fault containment, backpressure rejection, and sampled-hit
-// verification catching a poisoned cache.
+// fault containment, backpressure rejection, sampled-hit verification
+// catching a poisoned cache, batch misses sharing the one-pass engine's
+// stack replay, and a thread count above the pool cap refused as a
+// structured error.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,11 +28,13 @@
 #include "casa/cachesim/cache.hpp"
 #include "casa/fault/fault.hpp"
 #include "casa/fault/site_names.hpp"
+#include "casa/obs/metrics.hpp"
 #include "casa/report/workbench.hpp"
 #include "casa/support/error.hpp"
 #include "casa/svc/protocol.hpp"
 #include "casa/svc/result_cache.hpp"
 #include "casa/svc/service.hpp"
+#include "casa/workloads/workloads.hpp"
 
 namespace casa {
 namespace {
@@ -290,6 +294,65 @@ TEST(EvalServiceTest, BackpressureRejectsWithRetryHint) {
   EXPECT_EQ(resp.retry_after_ms, 7u);
   EXPECT_EQ(service.stats().rejections, 1u);
   EXPECT_EQ(service.stats().misses, 0u);
+}
+
+TEST(EvalServiceTest, BatchMissesShareOneStackReplay) {
+  // Three LRU cache-only geometries at one line size feed the cache one
+  // fetch stream; the batch's misses go through one evaluate_batch, which
+  // replays that stream once and still answers each job exactly as
+  // evaluate would.
+  obs::MetricsRegistry reg;
+  svc::ServiceOptions opt;
+  opt.threads = 2;
+  opt.metrics = &reg;
+  svc::EvalService service(opt);
+  const svc::Request req = svc::parse_request(
+      R"({"op":"batch","workload":"adpcm","jobs":[)"
+      R"({"kind":"cache_only","cache":{"size":256,"line_size":16,"associativity":1}},)"
+      R"({"kind":"cache_only","cache":{"size":512,"line_size":16,"associativity":2}},)"
+      R"({"kind":"cache_only","cache":{"size":1024,"line_size":16,"associativity":4}}]})");
+  const std::vector<svc::EvalResponse> responses =
+      service.evaluate_batch(req.workload, req.jobs);
+
+  const prog::Program program = workloads::by_name(kWorkload);
+  const report::Workbench reference(program);
+  ASSERT_EQ(responses.size(), req.jobs.size());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].result.ok()) << "job " << i;
+    EXPECT_EQ(responses[i].provenance, svc::Provenance::kMiss);
+    EXPECT_TRUE(responses[i].result.outcome ==
+                reference.evaluate(req.jobs[i]).value())
+        << "job " << i;
+  }
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_GE(snap.counters.at("sweep.stack_passes"), 1u);
+  EXPECT_EQ(snap.counters.at("sweep.stack_hits"), 3u);
+}
+
+TEST(EvalServiceTest, ThreadCountAboveThePoolCapIsRefused) {
+  // 100000 ILP threads once aborted the process; the pool cap now refuses
+  // the count before any thread starts, the job fails as a precondition
+  // error, and the service keeps serving.
+  svc::ServiceOptions opt;
+  opt.threads = 1;
+  svc::EvalService service(opt);
+  const svc::Request bad = svc::parse_request(
+      R"({"op":"evaluate","workload":"adpcm","job":{"kind":"casa","size":512,"casa":{"ilp_threads":100000}}})");
+  const std::vector<svc::EvalResponse> refused =
+      service.evaluate_batch(bad.workload, bad.jobs);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_FALSE(refused[0].result.ok());
+  EXPECT_EQ(refused[0].result.error_kind, "precondition");
+  std::ostringstream line;
+  svc::write_response_line(line, 0, refused[0]);
+  EXPECT_NE(line.str().find("precondition"), std::string::npos) << line.str();
+
+  const svc::Request next = svc::parse_request(
+      R"({"op":"evaluate","workload":"adpcm","job":{"kind":"casa","size":512}})");
+  const std::vector<svc::EvalResponse> served =
+      service.evaluate_batch(next.workload, next.jobs);
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_TRUE(served[0].result.ok());
 }
 
 TEST(EvalServiceTest, UnknownWorkloadFailsTheResponseNotTheService) {

@@ -1,16 +1,21 @@
-// SweepPlanner equivalence suite.
+// One-pass batch engine equivalence suite.
 //
-// The planner's contract is "evaluate_batch, but faster": Outcomes,
-// per-job telemetry, and thread invariance must all survive the switch to
-// the one-pass stack engine. The suite holds Outcome equality over a mixed
-// sweep (groupable LRU configs, FIFO/round-robin fallback, CASA/Steinke
-// singletons, a loop-cache job, duplicates), per-shard counter parity for
-// the keys a direct replay records, the sweep.* planning metrics, batch
-// job deduplication, the sweep.stack.mismatch check rule, and — for CASA
-// jobs sharing a trace program over several LRU geometries — the family
-// conflict-graph pass with its sweep.graph.mismatch rule.
+// Workbench::evaluate_batch's contract is "every job as if evaluated alone,
+// but faster": Outcomes, per-job telemetry, and thread invariance must all
+// survive the shared family conflict graphs and stack replays. The
+// reference never goes through evaluate_batch: Outcomes come from per-job
+// evaluate, per-job counters from prepare_job + finish_job into a private
+// registry. The suite holds both over a mixed sweep (groupable LRU configs,
+// FIFO/round-robin fallback, CASA/Steinke singletons, a loop-cache job,
+// duplicates) and over CASA jobs sharing a trace program across several
+// LRU geometries, at 1 and 3 threads; it also pins the sweep.* planning
+// metrics, the three-member threshold for shared passes, batch job
+// deduplication, and the sweep.stack.mismatch / sweep.graph.mismatch rules.
+// The SweepPlanner suite is named for the one-pass sweep planner that
+// evaluate_batch implements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,7 +29,6 @@
 #include "casa/obs/tracer.hpp"
 #include "casa/report/workbench.hpp"
 #include "casa/sim/parallel_runner.hpp"
-#include "casa/sim/sweep_planner.hpp"
 #include "casa/workloads/workloads.hpp"
 
 namespace casa::sim {
@@ -45,7 +49,7 @@ cachesim::CacheConfig cache_cfg(
   return cfg;
 }
 
-/// The sweep the planner must reproduce: one big groupable LRU cache-only
+/// The sweep the engine must reproduce: one big groupable LRU cache-only
 /// family, duplicates, non-LRU fallback configs, CASA and Steinke points,
 /// and a loop-cache job (never stack-eligible).
 std::vector<Job> mixed_jobs() {
@@ -119,39 +123,84 @@ void expect_outcome_eq(const Outcome& a, const Outcome& b, std::size_t i) {
   EXPECT_EQ(a, b) << "job " << i;
 }
 
-/// The deterministic per-replay counter keys run_lines / run_words record.
+/// The deterministic per-replay counter keys run_lines / run_words record,
+/// and the CASA flow's conflict-graph keys.
 const char* const kReplayKeys[] = {
     "sim.fetches",        "sim.spm_accesses",     "sim.lc_accesses",
     "cache.accesses",     "cache.hits",           "cache.misses",
     "cache.evictions",    "sim.mainmem_words",    "sim.cycles",
     "stream.compiled_runs", "stream.replayed_runs", "stream.replayed_words",
 };
+const char* const kGraphKeys[] = {"conflict.nodes", "conflict.edges"};
 
-std::map<std::string, std::uint64_t> replay_counters(
+/// A job's values of those keys. Zeros are dropped: a shard is filled by
+/// registry merges, which skip zero counters, while the oracle records
+/// into its registry directly.
+std::map<std::string, std::uint64_t> job_counters(
     const obs::MetricsSnapshot& snap) {
   std::map<std::string, std::uint64_t> out;
-  for (const char* key : kReplayKeys) {
+  const auto pick = [&](const char* key) {
     const auto it = snap.counters.find(key);
-    if (it != snap.counters.end()) out[key] = it->second;
-  }
+    if (it != snap.counters.end() && it->second != 0) out[key] = it->second;
+  };
+  for (const char* key : kReplayKeys) pick(key);
+  for (const char* key : kGraphKeys) pick(key);
   return out;
+}
+
+/// The per-job reference, computed without evaluate_batch: each job's
+/// Outcome from evaluate, and the counters its prepare_job + finish_job
+/// record into a private registry. A batch evaluates a repeated job once
+/// and records nothing for the repeats, so their expected counters are
+/// empty.
+struct Oracle {
+  std::vector<Outcome> outcomes;
+  std::vector<std::map<std::string, std::uint64_t>> counters;
+};
+
+Oracle oracle_of(const Workbench& bench, const std::vector<Job>& jobs) {
+  Oracle o;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    o.outcomes.push_back(bench.evaluate(jobs[i]).value());
+    obs::MetricsRegistry reg;
+    const auto earlier = jobs.begin() + static_cast<std::ptrdiff_t>(i);
+    if (std::find(jobs.begin(), earlier, jobs[i]) == earlier) {
+      bench.finish_job(bench.prepare_job(jobs[i], &reg), &reg);
+    }
+    o.counters.push_back(job_counters(reg.snapshot()));
+  }
+  return o;
+}
+
+struct BatchRun {
+  std::vector<report::JobResult> results;
+  std::vector<obs::MetricsSnapshot> shards;
+};
+
+BatchRun run_batch(const Workbench& bench, const std::vector<Job>& jobs,
+                   unsigned threads) {
+  MetricsShards shards(jobs.size());
+  report::BatchOptions bopt;
+  bopt.threads = threads;
+  BatchRun run;
+  run.results = bench.evaluate_batch(jobs, bopt, &shards);
+  run.shards = shards.snapshots();
+  return run;
 }
 
 TEST(SweepPlanner, MatchesRunManyOnAMixedSweep) {
   const prog::Program program = workloads::by_name("adpcm");
   const Workbench bench(program);
   const std::vector<Job> jobs = mixed_jobs();
-
-  report::BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  std::vector<Outcome> direct;
-  for (report::JobResult& r : bench.evaluate_batch(jobs, serial_opt)) {
-    direct.push_back(std::move(r.outcome));
-  }
-  const std::vector<Outcome> swept = SweepPlanner(bench).run(jobs, 1);
-  ASSERT_EQ(swept.size(), direct.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_outcome_eq(swept[i], direct[i], i);
+  const Oracle oracle = oracle_of(bench, jobs);
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const BatchRun run = run_batch(bench, jobs, threads);
+    ASSERT_EQ(run.results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(run.results[i].ok()) << "job " << i;
+      expect_outcome_eq(run.results[i].outcome, oracle.outcomes[i], i);
+    }
   }
 }
 
@@ -159,19 +208,14 @@ TEST(SweepPlanner, ShardCountersMatchRunMany) {
   const prog::Program program = workloads::by_name("adpcm");
   const Workbench bench(program);
   const std::vector<Job> jobs = mixed_jobs();
-
-  MetricsShards direct_shards(jobs.size());
-  MetricsShards swept_shards(jobs.size());
-  report::BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  bench.evaluate_batch(jobs, serial_opt, &direct_shards);
-  SweepPlanner(bench).run(jobs, 1, &swept_shards);
-
-  const std::vector<obs::MetricsSnapshot> direct = direct_shards.snapshots();
-  const std::vector<obs::MetricsSnapshot> swept = swept_shards.snapshots();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(replay_counters(swept[i]), replay_counters(direct[i]))
-        << "job " << i;
+  const Oracle oracle = oracle_of(bench, jobs);
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const BatchRun run = run_batch(bench, jobs, threads);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(job_counters(run.shards[i]), oracle.counters[i])
+          << "job " << i;
+    }
   }
 }
 
@@ -183,7 +227,9 @@ TEST(SweepPlanner, RecordsSweepMetrics) {
   const Workbench bench(program, wopt);
   const std::vector<Job> jobs = mixed_jobs();
 
-  SweepPlanner(bench).run(jobs, 1);
+  report::BatchOptions serial;
+  serial.threads = 1;
+  bench.evaluate_batch(jobs, serial);
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("runner.jobs"), jobs.size());
   // mixed_jobs repeats two cache-only points.
@@ -203,55 +249,45 @@ TEST(SweepPlanner, RecordsSweepMetrics) {
 TEST(SweepPlanner, ThreadCountInvariant) {
   const prog::Program program = workloads::by_name("adpcm");
   const std::vector<Job> jobs = mixed_jobs();
-
+  const auto run_at = [&](unsigned threads, obs::MetricsRegistry& reg) {
+    report::WorkbenchOptions wopt;
+    wopt.metrics = &reg;
+    const Workbench bench(program, wopt);
+    report::BatchOptions bopt;
+    bopt.threads = threads;
+    return bench.evaluate_batch(jobs, bopt);
+  };
   obs::MetricsRegistry reg1;
-  report::WorkbenchOptions o1;
-  o1.metrics = &reg1;
-  const Workbench b1(program, o1);
-  const std::vector<Outcome> r1 = SweepPlanner(b1).run(jobs, 1);
-
+  const std::vector<report::JobResult> r1 = run_at(1, reg1);
   obs::MetricsRegistry reg3;
-  report::WorkbenchOptions o3;
-  o3.metrics = &reg3;
-  const Workbench b3(program, o3);
-  const std::vector<Outcome> r3 = SweepPlanner(b3).run(jobs, 3);
+  const std::vector<report::JobResult> r3 = run_at(3, reg3);
 
   ASSERT_EQ(r1.size(), r3.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
-    expect_outcome_eq(r1[i], r3[i], i);
+    expect_outcome_eq(r1[i].outcome, r3[i].outcome, i);
   }
   // Counters (not spans/gauges — those carry wall time and thread count)
   // must merge to identical values for any worker count.
   EXPECT_EQ(reg1.snapshot().counters, reg3.snapshot().counters);
 }
 
-const char* const kGraphKeys[] = {"conflict.nodes", "conflict.edges"};
-
 TEST(SweepPlanner, CasaFamilyMatchesEvaluateBatch) {
   const prog::Program program = workloads::by_name("mpeg");
   const Workbench bench(program);
   const std::vector<Job> jobs = casa_family_jobs();
-
-  report::BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  MetricsShards direct_shards(jobs.size());
-  const std::vector<report::JobResult> direct =
-      bench.evaluate_batch(jobs, serial_opt, &direct_shards);
-  MetricsShards swept_shards(jobs.size());
-  const std::vector<Outcome> swept =
-      SweepPlanner(bench).run(jobs, 1, &swept_shards);
-  ASSERT_EQ(swept.size(), direct.size());
-  const std::vector<obs::MetricsSnapshot> ds = direct_shards.snapshots();
-  const std::vector<obs::MetricsSnapshot> ss = swept_shards.snapshots();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(direct[i].ok()) << "job " << i;
-    expect_outcome_eq(swept[i], direct[i].outcome, i);
-    for (const char* key : kGraphKeys) {
+  const Oracle oracle = oracle_of(bench, jobs);
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const BatchRun run = run_batch(bench, jobs, threads);
+    ASSERT_EQ(run.results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_TRUE(run.results[i].ok()) << "job " << i;
+      expect_outcome_eq(run.results[i].outcome, oracle.outcomes[i], i);
+      EXPECT_EQ(job_counters(run.shards[i]), oracle.counters[i])
+          << "job " << i;
       const bool casa = jobs[i].kind == Job::Kind::kCasa;
-      ASSERT_EQ(ss[i].counters.count(key), casa ? 1u : 0u) << key;
-      if (casa) {
-        EXPECT_EQ(ss[i].counters.at(key), ds[i].counters.at(key))
-            << key << " job " << i;
+      for (const char* key : kGraphKeys) {
+        EXPECT_EQ(run.shards[i].counters.count(key), casa ? 1u : 0u) << key;
       }
     }
   }
@@ -265,7 +301,9 @@ TEST(SweepPlanner, CountsGraphPassesThreadInvariantly) {
     report::WorkbenchOptions wopt;
     wopt.metrics = &reg;
     const Workbench bench(program, wopt);
-    SweepPlanner(bench).run(jobs, threads);
+    report::BatchOptions bopt;
+    bopt.threads = threads;
+    bench.evaluate_batch(jobs, bopt);
     return reg.snapshot().counters;
   };
   const auto one = run_at(1);
@@ -275,6 +313,47 @@ TEST(SweepPlanner, CountsGraphPassesThreadInvariantly) {
   EXPECT_EQ(one.at("sweep.graph_hits"), 5u);
   EXPECT_EQ(one.count("sweep.degraded_groups"), 0u);
   EXPECT_EQ(run_at(3), one);
+}
+
+/// A pair gains nothing from a shared pass (with the default cross-check
+/// it costs more than two direct runs): a CASA family of two geometries
+/// and an LRU stream of two cache-only geometries finish per job, and a
+/// third geometry in each earns each its pass.
+TEST(EvaluateBatch, SharedPassesNeedThreeMembers) {
+  const prog::Program program = workloads::by_name("adpcm");
+  const Workbench reference(program);
+  std::vector<Job> jobs = {Job::casa_job(cache_cfg(256, 1), 256),
+                           Job::casa_job(cache_cfg(512, 2), 256),
+                           Job::cache_only_job(cache_cfg(256, 1)),
+                           Job::cache_only_job(cache_cfg(1024, 4))};
+  const auto counters_of = [&](const std::vector<Job>& batch) {
+    obs::MetricsRegistry reg;
+    report::WorkbenchOptions wopt;
+    wopt.metrics = &reg;
+    const Workbench bench(program, wopt);
+    report::BatchOptions serial;
+    serial.threads = 1;
+    const std::vector<report::JobResult> results =
+        bench.evaluate_batch(batch, serial);
+    const Oracle oracle = oracle_of(reference, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(results[i].ok()) << "job " << i;
+      expect_outcome_eq(results[i].outcome, oracle.outcomes[i], i);
+    }
+    return reg.snapshot().counters;
+  };
+
+  const auto pairs = counters_of(jobs);
+  EXPECT_EQ(pairs.at("sweep.graph_passes"), 0u);
+  EXPECT_EQ(pairs.at("sweep.stack_passes"), 0u);
+  EXPECT_EQ(pairs.at("sweep.fallback_configs"), jobs.size());
+
+  jobs.push_back(Job::casa_job(cache_cfg(1024, 4), 256));
+  jobs.push_back(Job::cache_only_job(cache_cfg(512, 2)));
+  const auto trios = counters_of(jobs);
+  EXPECT_EQ(trios.at("sweep.graph_passes"), 1u);
+  EXPECT_EQ(trios.at("sweep.graph_hits"), 3u);
+  EXPECT_GE(trios.at("sweep.stack_passes"), 1u);
 }
 
 TEST(CheckGraphSweep, PassesOnEqualGraphsAndFlagsDivergence) {
@@ -337,7 +416,9 @@ TEST(SweepPlanner, EmitsTraceEventsWhenTracerAttached) {
 
   obs::Tracer tracer;
   obs::Tracer::set_current(&tracer);
-  SweepPlanner(bench).run(jobs, 2);
+  report::BatchOptions bopt;
+  bopt.threads = 2;
+  bench.evaluate_batch(jobs, bopt);
   obs::Tracer::set_current(nullptr);
 
   const obs::TraceData data = tracer.drain();

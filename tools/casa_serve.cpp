@@ -33,6 +33,7 @@
 #include "casa/obs/metrics.hpp"
 #include "casa/support/args.hpp"
 #include "casa/support/error.hpp"
+#include "casa/support/thread_pool.hpp"
 #include "casa/svc/protocol.hpp"
 #include "casa/svc/service.hpp"
 
@@ -216,6 +217,8 @@ int main(int argc, char** argv) {
     svc::ServiceOptions opt;
     opt.cache_bytes = cache_bytes;
     opt.threads = checked_unsigned(threads, "--threads");
+    // A count the pool cap refuses fails here, not on every request.
+    (void)support::ThreadPool::resolve(opt.threads);
     opt.max_retries = checked_unsigned(max_retries, "--max-retries");
     opt.max_inflight = max_inflight;
     opt.retry_after_ms = checked_unsigned(retry_after_ms, "--retry-after-ms");

@@ -25,7 +25,16 @@
 #   * run G: values past 32 bits (associativity 2^32 + 2, max_regions
 #     2^32) get one error line naming the key instead of wrapping, and a
 #     genuine 2-way request afterwards is a miss, not a hit on an entry the
-#     wrapped request left behind.
+#     wrapped request left behind;
+#   * run H: a batch of three LRU cache-only geometries at one line size,
+#     whose misses share one stack replay, sent once fault-free and once
+#     with every fault.sweep.stack_pass throwing — the faulted pass degrades
+#     to per-job simulation, and every job comes back ok with result lines
+#     byte-identical to the fault-free session's;
+#   * run I: "ilp_threads":100000, above the thread-pool cap — the job
+#     fails with error_kind "precondition" instead of aborting the process,
+#     and the same session then serves the next request; --threads above
+#     the cap fails at startup.
 #
 # Registered as a ctest (serve_check); exits 77 (ctest SKIP) on hosts
 # without python3, hard-fails on a missing casa_serve binary.
@@ -207,5 +216,60 @@ assert stats[0]["requests"] == 1 and stats[0]["hits"] == 0, stats[0]
 assert stats[0]["cache_entries"] == 1, stats[0]
 print("serve_check: run G ok — both refused by key, the 2-way request missed")
 EOF
+
+echo "serve_check: run H — a failing shared stack pass degrades, results exact"
+cache_only() {
+  printf '{"kind":"cache_only","cache":{"size":%s,"line_size":16,"associativity":%s}}' "$1" "$2"
+}
+batch="{\"op\":\"batch\",\"workload\":\"adpcm\",\"jobs\":[$(cache_only 256 1),$(cache_only 512 2),$(cache_only 1024 4)]}"
+printf '%s\n' "$batch" \
+  | "$serve" --metrics-json="$workdir/h_clean.json" > "$workdir/h_clean.txt"
+printf '%s\n' "$batch" \
+  | "$serve" --fault-spec='site=fault.sweep.stack_pass,action=throw' \
+      --metrics-json="$workdir/h_fault.json" > "$workdir/h_fault.txt"
+python3 - "$workdir" << 'EOF'
+import json, sys
+d = sys.argv[1]
+def results(name):
+    return [l for l in open(f"{d}/{name}") if '"reply":"result"' in l]
+clean, faulted = results("h_clean.txt"), results("h_fault.txt")
+assert len(clean) == 3, clean
+for line in faulted:
+    assert json.loads(line)["status"] == "ok", line
+assert faulted == clean, "degraded results differ from the fault-free session"
+def counters(name):
+    return json.load(open(f"{d}/{name}"))["counters"]
+c, f = counters("h_clean.json"), counters("h_fault.json")
+assert c.get("sweep.stack_passes", 0) >= 1, c
+assert f.get("sweep.stack_passes", 0) == 0, f
+assert f.get("sweep.degraded_groups", 0) == 1, f
+print("serve_check: run H ok — pass degraded, three results byte-identical")
+EOF
+
+echo "serve_check: run I — a thread count above the pool cap is refused"
+huge='{"op":"evaluate","workload":"adpcm","job":{"kind":"casa","size":512,"casa":{"ilp_threads":100000}}}'
+printf '%s\n' "$huge" "$evaluate" '{"op":"stats"}' \
+  | "$serve" > "$workdir/i.txt"
+python3 - "$workdir/i.txt" << 'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1])]
+results = [l for l in lines if l.get("reply") == "result"]
+assert len(results) == 2, lines
+assert results[0]["status"] == "failed", results[0]
+assert results[0]["error_kind"] == "precondition", results[0]
+assert results[1]["status"] == "ok", results[1]
+assert len([l for l in lines if l.get("reply") == "stats"]) == 1, lines
+print("serve_check: run I ok — refused as a precondition, session alive")
+EOF
+if "$serve" --threads=1025 < /dev/null 2> "$workdir/i_threads.txt"; then
+  echo "serve_check: FAIL — --threads above the pool cap was accepted" >&2
+  exit 1
+fi
+if ! grep -q "above the limit" "$workdir/i_threads.txt"; then
+  echo "serve_check: FAIL — --threads refusal does not name the limit:" >&2
+  cat "$workdir/i_threads.txt" >&2
+  exit 1
+fi
+echo "serve_check: run I ok — --threads above the cap refused at startup"
 
 echo "serve_check: PASS"
