@@ -4,7 +4,15 @@
 //
 // Measures, per workload at its largest paper scratchpad size: the
 // specialized branch & bound, the generic ILP with the tight linearization,
-// and (on the small instance) the paper's literal linearization.
+// and (on the small instance) the paper's literal linearization. Every
+// instance is the presolved problem the allocator solves: the traces,
+// layout and energy table come from Workbench::prepare_job on the default
+// profile, the conflict graph from conflict::build_conflict_graph, so
+// BM_SpecializedBnB/g721_1024 is Table 1's g721@1024 solve. One more
+// specialized instance comes from the mpeg design-space sweep: 16 B lines,
+// a 1 KiB 2-way I-cache and a 1024 B scratchpad, a dense conflict graph
+// on which the specialized engine's Lagrangian bound prunes little and
+// backs off.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -16,47 +24,74 @@
 #include "casa/core/allocator.hpp"
 #include "casa/core/casa_branch_bound.hpp"
 #include "casa/core/formulation.hpp"
-#include "casa/energy/energy_table.hpp"
 #include "casa/ilp/branch_bound.hpp"
-#include "casa/trace/executor.hpp"
-#include "casa/traceopt/layout.hpp"
-#include "casa/traceopt/trace_formation.hpp"
+#include "casa/report/workbench.hpp"
 #include "casa/workloads/workloads.hpp"
 
 namespace {
 
 using namespace casa;
 
-/// Cached per-workload problem instance (profiling is not what we measure).
-struct Instance {
+/// A workload's program and its default-profile Workbench (profiling is
+/// not what we measure).
+struct Workload {
   prog::Program program;
-  core::SavingsProblem sp;
+  std::unique_ptr<report::Workbench> bench;
 };
 
-const Instance& instance(const std::string& name, Bytes spm) {
-  static std::map<std::string, std::unique_ptr<Instance>> cache;
-  const std::string key = name + "/" + std::to_string(spm);
-  auto it = cache.find(key);
-  if (it != cache.end()) return *it->second;
+const report::Workbench& workbench(const std::string& name) {
+  static std::map<std::string, std::unique_ptr<Workload>> cache;
+  auto it = cache.find(name);
+  if (it == cache.end()) {
+    auto w = std::make_unique<Workload>();
+    w->program = workloads::by_name(name);
+    w->bench = std::make_unique<report::Workbench>(w->program);
+    it = cache.emplace(name, std::move(w)).first;
+  }
+  return *it->second->bench;
+}
 
-  auto inst = std::make_unique<Instance>(
-      Instance{workloads::by_name(name), core::SavingsProblem{}});
-  const auto exec = trace::Executor::run(inst->program);
-  const auto cache_cfg = workloads::paper_cache_for(name);
-  traceopt::TraceFormationOptions topt;
-  topt.cache_line_size = cache_cfg.line_size;
-  topt.max_trace_size = spm;
-  const auto tp = traceopt::form_traces(inst->program, exec.profile, topt);
-  const auto layout = traceopt::layout_all(tp);
+/// The presolved problem CasaAllocator solves for `name` under `cache`
+/// with a `spm`-byte scratchpad, built once.
+const core::SavingsProblem& instance(const std::string& name, Bytes spm,
+                                     const cachesim::CacheConfig& cache) {
+  static std::map<std::string, core::SavingsProblem> problems;
+  const std::string key = name + "/" + std::to_string(spm) + "/" +
+                          std::to_string(cache.size) + "/" +
+                          std::to_string(cache.line_size) + "/" +
+                          std::to_string(cache.associativity);
+  auto it = problems.find(key);
+  if (it != problems.end()) return it->second;
+
+  const report::Workbench& bench = workbench(name);
+  // The greedy engine keeps set-up cheap; the solves under test run below.
+  core::CasaOptions greedy;
+  greedy.engine = core::CasaEngine::kGreedy;
+  const report::Workbench::PreparedJob pj = bench.prepare_job(
+      report::Workbench::Job::casa_job(cache, spm, greedy), nullptr);
   conflict::BuildOptions bopt;
-  bopt.cache = cache_cfg;
-  const auto graph =
-      conflict::build_conflict_graph(tp, layout, exec.walk, bopt);
-  const auto energies = energy::EnergyTable::build(cache_cfg, spm, 0, 0);
-  inst->sp = core::presolve(
-      core::CasaProblem::from(tp, graph, energies, spm));
-  it = cache.emplace(key, std::move(inst)).first;
-  return *it->second;
+  bopt.cache = cache;
+  const conflict::ConflictGraph graph = conflict::build_conflict_graph(
+      *pj.tp, *pj.layout, bench.execution().walk, bopt);
+  return problems
+      .emplace(key, core::presolve(core::CasaProblem::from(
+                        *pj.tp, graph, pj.energies, spm)))
+      .first->second;
+}
+
+/// Table 1's instance: the workload's paper cache.
+const core::SavingsProblem& instance(const std::string& name, Bytes spm) {
+  return instance(name, spm, workloads::paper_cache_for(name));
+}
+
+/// An LRU I-cache of the design-space sweep's geometries.
+cachesim::CacheConfig sweep_cache(Bytes size, Bytes line,
+                                  unsigned associativity) {
+  cachesim::CacheConfig cache;
+  cache.size = size;
+  cache.line_size = line;
+  cache.associativity = associativity;
+  return cache;
 }
 
 /// Records the search effort of the last solve. Both counts are
@@ -69,27 +104,27 @@ void report_search(benchmark::State& state, const ilp::SolveStats& stats) {
 }
 
 void BM_SpecializedBnB(benchmark::State& state, const std::string& name,
-                       Bytes spm) {
-  const Instance& inst = instance(name, spm);
+                       Bytes spm, const cachesim::CacheConfig& cache) {
+  const core::SavingsProblem& sp = instance(name, spm, cache);
   ilp::SolveStats stats;
   for (auto _ : state) {
     core::CasaBranchBound solver;
-    const core::CasaBranchBoundResult r = solver.solve(inst.sp);
+    const core::CasaBranchBoundResult r = solver.solve(sp);
     benchmark::DoNotOptimize(r.saving);
     stats = r.stats;
   }
   report_search(state, stats);
-  state.counters["items"] = static_cast<double>(inst.sp.item_count());
-  state.counters["edges"] = static_cast<double>(inst.sp.edges.size());
+  state.counters["items"] = static_cast<double>(sp.item_count());
+  state.counters["edges"] = static_cast<double>(sp.edges.size());
 }
 
 void BM_GenericIlpTight(benchmark::State& state, const std::string& name,
                         Bytes spm) {
-  const Instance& inst = instance(name, spm);
+  const core::SavingsProblem& sp = instance(name, spm);
   ilp::SolveStats stats;
   for (auto _ : state) {
     const core::CasaModel cm =
-        core::build_casa_model(inst.sp, core::Linearization::kTight);
+        core::build_casa_model(sp, core::Linearization::kTight);
     ilp::BranchAndBound solver;
     benchmark::DoNotOptimize(solver.solve(cm.model));
     stats = solver.last_stats();
@@ -103,16 +138,14 @@ void BM_GenericIlpTight(benchmark::State& state, const std::string& name,
 /// tools/bench_check.sh can gate search effort alongside wall-clock.
 void BM_GenericIlpWarmStarted(benchmark::State& state, const std::string& name,
                               Bytes spm) {
-  const Instance& inst = instance(name, spm);
+  const core::SavingsProblem& sp = instance(name, spm);
   ilp::SolveStats stats;
   for (auto _ : state) {
     const core::CasaModel cm =
-        core::build_casa_model(inst.sp, core::Linearization::kTight);
+        core::build_casa_model(sp, core::Linearization::kTight);
     ilp::BranchAndBoundOptions opt;
     opt.warm_hint = core::warm_assignment(
-        cm, inst.sp,
-        baseline::knapsack_seed(inst.sp.weight, inst.sp.value,
-                                inst.sp.capacity));
+        cm, sp, baseline::knapsack_seed(sp.weight, sp.value, sp.capacity));
     opt.branch_priority.assign(cm.model.var_count(), 0);
     for (const VarId l : cm.l_vars) opt.branch_priority[l.index()] = 1;
     ilp::BranchAndBound solver(opt);
@@ -120,15 +153,15 @@ void BM_GenericIlpWarmStarted(benchmark::State& state, const std::string& name,
     stats = solver.last_stats();
   }
   report_search(state, stats);
-  state.counters["items"] = static_cast<double>(inst.sp.item_count());
+  state.counters["items"] = static_cast<double>(sp.item_count());
 }
 
 void BM_GenericIlpPaperLinearization(benchmark::State& state,
                                      const std::string& name, Bytes spm) {
-  const Instance& inst = instance(name, spm);
+  const core::SavingsProblem& sp = instance(name, spm);
   for (auto _ : state) {
     const core::CasaModel cm =
-        core::build_casa_model(inst.sp, core::Linearization::kPaper);
+        core::build_casa_model(sp, core::Linearization::kPaper);
     ilp::BranchAndBoundOptions opt;
     opt.branch_priority.assign(cm.model.var_count(), 0);
     for (const VarId l : cm.l_vars) opt.branch_priority[l.index()] = 1;
@@ -139,9 +172,14 @@ void BM_GenericIlpPaperLinearization(benchmark::State& state,
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_SpecializedBnB, adpcm_256, "adpcm", 256);
-BENCHMARK_CAPTURE(BM_SpecializedBnB, g721_1024, "g721", 1024);
-BENCHMARK_CAPTURE(BM_SpecializedBnB, mpeg_1024, "mpeg", 1024);
+BENCHMARK_CAPTURE(BM_SpecializedBnB, adpcm_256, "adpcm", 256,
+                  workloads::paper_cache_for("adpcm"));
+BENCHMARK_CAPTURE(BM_SpecializedBnB, g721_1024, "g721", 1024,
+                  workloads::paper_cache_for("g721"));
+BENCHMARK_CAPTURE(BM_SpecializedBnB, mpeg_1024, "mpeg", 1024,
+                  workloads::paper_cache_for("mpeg"));
+BENCHMARK_CAPTURE(BM_SpecializedBnB, mpeg_L16_1K_2w_1024, "mpeg", 1024,
+                  sweep_cache(1024, 16, 2));
 BENCHMARK_CAPTURE(BM_GenericIlpTight, adpcm_256, "adpcm", 256);
 BENCHMARK_CAPTURE(BM_GenericIlpTight, g721_512, "g721", 512);
 BENCHMARK_CAPTURE(BM_GenericIlpWarmStarted, mpeg_1024, "mpeg", 1024);

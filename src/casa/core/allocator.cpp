@@ -14,8 +14,9 @@ namespace {
 
 /// Node budget of the specialized pre-solve whose mask becomes the generic
 /// engine's objective cutoff. Every bundled Table 1 instance the generic
-/// engine solves is proven optimal within 2,403 nodes; a run that exhausts
-/// the budget still returns a feasible mask, just a looser cutoff.
+/// engine solves is proven optimal within 1,905 nodes (jpeg@1024); a run
+/// that exhausts the budget still returns a feasible mask, just a looser
+/// cutoff.
 constexpr std::uint64_t kCutoffNodeBudget = 1u << 14;
 
 }  // namespace

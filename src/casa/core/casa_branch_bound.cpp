@@ -1,9 +1,13 @@
 #include "casa/core/casa_branch_bound.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "casa/core/greedy.hpp"
+#include "casa/obs/trace_names.hpp"
+#include "casa/obs/tracer.hpp"
 #include "casa/support/error.hpp"
 
 namespace casa::core {
@@ -20,6 +24,16 @@ namespace {
 /// be credited to both endpoints, but it tightens as inclusions cover edges.
 /// Branching picks the undecided item with the highest cur_opt density
 /// (include branch first).
+///
+/// Where that bound fails on a search past kLagStartNodes nodes, a
+/// Lagrangian bound L(mu) gets a second chance to prune (docs/solver.md,
+/// "Lagrangian bound"). Each edge e carries a multiplier mu_e in [0, w_e]
+/// that splits its weight between a constant and its endpoints' values.
+/// mu' is mu with every edge that has an excluded endpoint at w_e, and
+/// L(mu) = cur_saving + sum over open edges of (w_e - mu'_e) + the
+/// fractional knapsack over the candidates at
+/// lambda_k = v_k + sum over k's uncovered edges of mu'_e.
+/// mu = w gives the cur_opt knapsack above; the best mu gives the LP bound.
 class Search {
  public:
   Search(const SavingsProblem& sp, const CasaBranchBoundOptions& opt)
@@ -67,6 +81,16 @@ class Search {
     best_chosen_ = g.chosen;
     best_saving_ = g.saving;
     local_search();
+
+    root_state_ = state_;
+    mult_.mu.resize(sp_.edges.size());
+    for (std::size_t e = 0; e < sp_.edges.size(); ++e) {
+      mult_.mu[e] = sp_.edges[e].weight;
+    }
+    mult_.slack_pos.assign(sp_.edges.size(), Multipliers::kNotSlack);
+    lam_.assign(n, 0);
+    lag_x_.assign(n, 0);
+    tracer_ = obs::Tracer::current();
   }
 
   /// Hill-climbs best_chosen_ with single swaps (drop one chosen item, add
@@ -118,6 +142,11 @@ class Search {
 
   CasaBranchBoundResult run() {
     dfs(0);
+    if (tracer_ != nullptr) {
+      tracer_->instant(obs::trace_names::kIlpPrunes,
+                       static_cast<double>(stats_.bound_prunes),
+                       obs::trace_names::kCatIlp);
+    }
     CasaBranchBoundResult r;
     r.chosen = std::move(best_chosen_);
     r.saving = sp_.saving_for(r.chosen);
@@ -125,6 +154,7 @@ class Search {
     r.exact = !aborted_;
     r.stats = stats_;
     r.stats.nodes = nodes_;
+    r.lagrangian_prunes = lagrangian_prunes_;
     return r;
   }
 
@@ -201,6 +231,16 @@ class Search {
         open_edge_weight_ -= sp_.edges[e].weight;
       }
     }
+    if (!lag_on_) return;
+    // Edges k just covered leave the Lagrangian: their free endpoints lose
+    // mu_e, and the open term its (w_e - mu_e).
+    for (const std::uint32_t e : incident_[k]) {
+      if (cover_[e] != 1) continue;
+      const std::size_t j = other_endpoint(e, k);
+      if (state_[j] != kUndecided) continue;
+      lam_[j] -= mult_.mu[e];
+      lag_open_ -= sp_.edges[e].weight - mult_.mu[e];
+    }
   }
 
   void undo_include(std::size_t k) {
@@ -216,6 +256,21 @@ class Search {
         open_edge_weight_ += sp_.edges[e].weight;
       }
     }
+    if (!lag_on_) return;
+    // lambda of a decided item is not kept; k's is recomputed here.
+    Energy lam_k = sp_.value[k];
+    for (const std::uint32_t e : incident_[k]) {
+      if (cover_[e] != 0) continue;
+      const std::size_t j = other_endpoint(e, k);
+      if (state_[j] == kExcluded) {
+        lam_k += sp_.edges[e].weight;
+        continue;
+      }
+      lam_k += mult_.mu[e];
+      lam_[j] += mult_.mu[e];
+      lag_open_ += sp_.edges[e].weight - mult_.mu[e];
+    }
+    lam_[k] = lam_k;
   }
 
   // An uncovered edge stops being coverable only when BOTH endpoints are
@@ -228,6 +283,17 @@ class Search {
         open_edge_weight_ -= sp_.edges[e].weight;
       }
     }
+    if (!lag_on_) return;
+    // An uncovered edge to an undecided item now has mu'_e = w_e: the whole
+    // weight moves from the open term to that item.
+    for (const std::uint32_t e : incident_[k]) {
+      if (cover_[e] != 0) continue;
+      const std::size_t j = other_endpoint(e, k);
+      if (state_[j] != kUndecided) continue;
+      const Energy shift = sp_.edges[e].weight - mult_.mu[e];
+      lam_[j] += shift;
+      lag_open_ -= shift;
+    }
   }
 
   void undo_exclude(std::size_t k) {
@@ -237,6 +303,255 @@ class Search {
         open_edge_weight_ += sp_.edges[e].weight;
       }
     }
+    if (!lag_on_) return;
+    Energy lam_k = sp_.value[k];
+    for (const std::uint32_t e : incident_[k]) {
+      if (cover_[e] != 0) continue;
+      const std::size_t j = other_endpoint(e, k);
+      if (state_[j] == kExcluded) {
+        lam_k += sp_.edges[e].weight;
+        continue;
+      }
+      const Energy shift = sp_.edges[e].weight - mult_.mu[e];
+      lam_k += mult_.mu[e];
+      lam_[j] -= shift;
+      lag_open_ += shift;
+    }
+    lam_[k] = lam_k;
+  }
+
+  // ---- Lagrangian bound ----
+
+  /// Search size at which the bound starts: most instances finish sooner
+  /// and never pay for it.
+  static constexpr std::uint64_t kLagStartNodes = 256;
+  /// Polyak step scale of the one step each evaluation that does not prune
+  /// takes (fewest nodes over Table 1 and the mpeg sweep grid among
+  /// 0.5-2).
+  static constexpr double kLagTheta = 1.5;
+  /// Back-off: after every kLagWindow evaluations, fewer than
+  /// kLagWindowMinPrunes prunes (35 %) switch the bound off for the next
+  /// kLagBackoffNodes nodes, doubled for each failed window in a row.
+  static constexpr std::uint32_t kLagWindow = 256;
+  static constexpr std::uint32_t kLagWindowMinPrunes = 90;
+  static constexpr std::uint64_t kLagBackoffNodes = 16 * kLagWindow;
+  /// Steps of the root tuning whose bound a tracer receives.
+  static constexpr int kLagRootSteps = 300;
+
+  /// Rounding margin of the L prune (nJ). 1e-9 |L| covers ~10^7
+  /// roundings of 2^-53 |L|, six orders of magnitude above the drift
+  /// measured between updated and rebuilt lambdas; 1e-6 covers L near zero
+  /// (docs/solver.md, "The margin").
+  static Energy lag_margin(Energy L) { return 1e-9 * std::abs(L) + 1e-6; }
+
+  /// One multiplier per edge, and the edges below their weight (the only
+  /// ones a negative subgradient can move).
+  struct Multipliers {
+    static constexpr std::uint32_t kNotSlack = ~0u;
+    std::vector<Energy> mu;
+    std::vector<std::uint32_t> slack;      ///< edges with mu_e < w_e
+    std::vector<std::uint32_t> slack_pos;  ///< place in slack, or kNotSlack
+  };
+
+  void set_mu(Multipliers& m, std::uint32_t e, Energy mu) const {
+    m.mu[e] = mu;
+    const bool slack = mu < sp_.edges[e].weight;
+    if (slack == (m.slack_pos[e] != Multipliers::kNotSlack)) return;
+    if (slack) {
+      m.slack_pos[e] = static_cast<std::uint32_t>(m.slack.size());
+      m.slack.push_back(e);
+    } else {
+      const std::uint32_t last = m.slack.back();
+      m.slack[m.slack_pos[e]] = last;
+      m.slack_pos[last] = m.slack_pos[e];
+      m.slack.pop_back();
+      m.slack_pos[e] = Multipliers::kNotSlack;
+    }
+  }
+
+  /// lambda and the open term from scratch, for the items undecided in
+  /// `state`.
+  Energy lag_rebuild(const std::vector<std::uint8_t>& state,
+                     const std::vector<Energy>& mu,
+                     std::vector<Energy>& lam) const {
+    Energy open = 0;
+    for (std::size_t k = 0; k < lam.size(); ++k) lam[k] = sp_.value[k];
+    for (std::uint32_t e = 0; e < sp_.edges.size(); ++e) {
+      const std::uint8_t sa = state[sp_.edges[e].a];
+      const std::uint8_t sb = state[sp_.edges[e].b];
+      const Energy w = sp_.edges[e].weight;
+      if (sa == kIncluded || sb == kIncluded) continue;  // covered
+      if (sa == kUndecided && sb == kUndecided) {
+        lam[sp_.edges[e].a] += mu[e];
+        lam[sp_.edges[e].b] += mu[e];
+        open += w - mu[e];
+      } else if (sa == kUndecided) {
+        lam[sp_.edges[e].a] += w;
+      } else if (sb == kUndecided) {
+        lam[sp_.edges[e].b] += w;
+      }
+    }
+    return open;
+  }
+
+  /// Adds item k to the Lagrangian knapsack's candidates.
+  void lag_offer(std::uint32_t k, const std::vector<Energy>& lam) {
+    if (lam[k] > 0) {
+      lag_heap_.push_back(
+          Candidate{lam[k] / static_cast<double>(sp_.weight[k]), k});
+    }
+  }
+
+  /// Fractional knapsack within `cap` over the offered candidates at `lam`
+  /// values, in density order (ties by index). Records each taken fraction
+  /// in lag_x_ (and the item in lag_taken_) for the subgradient. Few
+  /// candidates fit, so a heap hands them out in order without sorting the
+  /// rest.
+  Energy lag_knapsack(Bytes cap, const std::vector<Energy>& lam) {
+    const auto after = [](const Candidate& a, const Candidate& b) {
+      if (a.density != b.density) return a.density < b.density;
+      return a.item > b.item;
+    };
+    std::make_heap(lag_heap_.begin(), lag_heap_.end(), after);
+    Energy knap = 0;
+    while (cap > 0 && !lag_heap_.empty()) {
+      std::pop_heap(lag_heap_.begin(), lag_heap_.end(), after);
+      const std::uint32_t k = lag_heap_.back().item;
+      lag_heap_.pop_back();
+      double x = 1.0;
+      if (sp_.weight[k] <= cap) {
+        cap -= sp_.weight[k];
+      } else {
+        x = static_cast<double>(cap) / static_cast<double>(sp_.weight[k]);
+        cap = 0;
+      }
+      knap += lam[k] * x;
+      lag_x_[k] = x;
+      lag_taken_.push_back(k);
+    }
+    lag_heap_.clear();
+    return knap;
+  }
+
+  /// One projected Polyak step toward `target` on the edges whose
+  /// endpoints are both undecided in `state`, from the knapsack fractions
+  /// in lag_x_: g_e = x_a + x_b - 1 and mu_e -= t g_e within [0, w_e],
+  /// with t = theta (L - target) / |g|^2 over the edges that can move.
+  /// Keeps `lam` and `open` in step, then clears lag_x_. Only two kinds of
+  /// edge can move: g_e < 0 needs mu_e < w_e (m.slack), and g_e > 0 needs
+  /// both endpoints taken.
+  void lag_step(Energy L, Energy target, double theta,
+                const std::vector<std::uint8_t>& state, Multipliers& m,
+                std::vector<Energy>& lam, Energy& open) {
+    double norm2 = 0;
+    lag_grad_.clear();
+    for (const std::uint32_t e : m.slack) {
+      const std::uint32_t a = sp_.edges[e].a;
+      const std::uint32_t b = sp_.edges[e].b;
+      const double g = lag_x_[a] + lag_x_[b] - 1.0;
+      if (g >= 0 || state[a] != kUndecided || state[b] != kUndecided) {
+        continue;
+      }
+      norm2 += g * g;
+      lag_grad_.push_back(Gradient{e, g});
+    }
+    for (const std::uint32_t k : lag_taken_) {
+      for (const std::uint32_t e : incident_[k]) {
+        const std::size_t j = other_endpoint(e, k);
+        // Taken items are undecided; visit each edge from its lower end.
+        if (lag_x_[j] == 0 || j < k || m.mu[e] <= 0) continue;
+        const double g = lag_x_[k] + lag_x_[j] - 1.0;
+        norm2 += g * g;
+        lag_grad_.push_back(Gradient{e, g});
+      }
+    }
+    if (norm2 > 0) {
+      const double t = theta * (L - target) / norm2;
+      for (const Gradient& gr : lag_grad_) {
+        const SavingsProblem::Edge& edge = sp_.edges[gr.edge];
+        const Energy mu =
+            std::clamp(m.mu[gr.edge] - t * gr.g, 0.0, edge.weight);
+        const Energy d = mu - m.mu[gr.edge];
+        set_mu(m, gr.edge, mu);
+        lam[edge.a] += d;
+        lam[edge.b] += d;
+        open -= d;
+      }
+    }
+    lag_untake();
+  }
+
+  void lag_untake() {
+    for (const std::uint32_t k : lag_taken_) lag_x_[k] = 0;
+    lag_taken_.clear();
+  }
+
+  /// The root bound after kLagRootSteps Polyak steps from the search's
+  /// multipliers, on a copy: the search never reads it, so a traced solve
+  /// explores the same nodes as an untraced one.
+  Energy lag_root_bound() {
+    Multipliers m = mult_;
+    std::vector<Energy> lam(sp_.item_count());
+    Energy open = lag_rebuild(root_state_, m.mu, lam);
+    Energy best = std::numeric_limits<Energy>::infinity();
+    double theta = 2.0;
+    int stall = 0;
+    for (int step = 0; step < kLagRootSteps && best > best_saving_; ++step) {
+      for (std::uint32_t k = 0; k < lam.size(); ++k) {
+        if (root_state_[k] == kUndecided) lag_offer(k, lam);
+      }
+      const Energy L = open + lag_knapsack(sp_.capacity, lam);
+      if (L < best) {
+        best = L;
+        stall = 0;
+      } else if (++stall == 10) {  // ten steps without progress
+        theta /= 2;
+        stall = 0;
+      }
+      lag_step(L, best_saving_, theta, root_state_, m, lam, open);
+    }
+    return best;
+  }
+
+  /// The second prune test, run where bound() failed. Prunes only when L
+  /// cannot beat the incumbent itself (no eps): the subtree then holds no
+  /// strict improvement, so the incumbent sequence stays bound()'s.
+  bool lag_prunes() {
+    if (!lag_on_) {
+      if (nodes_ < lag_resume_at_) return false;
+      if (tracer_ != nullptr && !lag_traced_) {
+        lag_traced_ = true;
+        tracer_->counter(obs::trace_names::kIlpLagrangianBound,
+                         lag_root_bound());
+      }
+      lag_open_ = lag_rebuild(state_, mult_.mu, lam_);
+      lag_on_ = true;
+    }
+    // The candidates are the items dfs() collected for bound().
+    for (const Candidate& c : scratch_) lag_offer(c.item, lam_);
+    const Energy L = cur_saving_ + lag_open_ + lag_knapsack(cap_left_, lam_);
+    const bool prune = L + lag_margin(L) <= best_saving_;
+    if (prune) {
+      lag_untake();
+      ++lag_window_prunes_;
+    } else {
+      lag_step(L, best_saving_, kLagTheta, state_, mult_, lam_, lag_open_);
+    }
+    if (++lag_window_evals_ == kLagWindow) {
+      if (lag_window_prunes_ < kLagWindowMinPrunes) {
+        lag_on_ = false;
+        lag_resume_at_ = nodes_ + (kLagBackoffNodes << lag_failed_windows_);
+        lag_failed_windows_ = std::min(lag_failed_windows_ + 1, 20u);
+      } else {
+        lag_failed_windows_ = 0;
+        // A fresh lambda each window bounds the drift of the incremental
+        // updates.
+        lag_open_ = lag_rebuild(state_, mult_.mu, lam_);
+      }
+      lag_window_evals_ = 0;
+      lag_window_prunes_ = 0;
+    }
+    return prune;
   }
 
   void dfs(std::uint64_t depth) {
@@ -244,6 +559,13 @@ class Search {
     if (++nodes_ > opt_.max_nodes) {
       aborted_ = true;
       return;
+    }
+    if ((nodes_ & 1023u) == 0 && tracer_ != nullptr) {
+      // Sampled progress, as ilp::BranchAndBound's node loop samples it.
+      tracer_->counter(obs::trace_names::kIlpNodes,
+                       static_cast<double>(nodes_));
+      tracer_->counter(obs::trace_names::kIlpPrunes,
+                       static_cast<double>(stats_.bound_prunes));
     }
     if (depth > stats_.max_depth) stats_.max_depth = depth;
     if (cur_saving_ > best_saving_) {
@@ -253,6 +575,10 @@ class Search {
         best_chosen_[k] = state_[k] == kIncluded;
       }
       ++stats_.incumbent_updates;
+      if (tracer_ != nullptr) {
+        tracer_->instant(obs::trace_names::kIlpIncumbent, best_saving_,
+                         obs::trace_names::kCatIlp);
+      }
     }
 
     // Branch variable: densest undecided item that still fits. The same
@@ -276,6 +602,11 @@ class Search {
     if (pick < 0) return;  // nothing can be added
     if (bound() <= best_saving_ + opt_.eps) {
       ++stats_.bound_prunes;
+      return;
+    }
+    if (lag_prunes()) {
+      ++stats_.bound_prunes;
+      ++lagrangian_prunes_;
       return;
     }
 
@@ -311,6 +642,32 @@ class Search {
   std::uint64_t nodes_ = 0;
   ilp::SolveStats stats_;
   bool aborted_ = false;
+
+  // Lagrangian bound. mult_ is one set for the whole search and is never
+  // restored on backtrack: every mu in [0, w] is sound.
+  std::vector<std::uint8_t> root_state_;
+  Multipliers mult_;
+  /// lambda per undecided item and the open term sum (w_e - mu'_e), kept
+  /// up to date by include/exclude and their undos while lag_on_.
+  std::vector<Energy> lam_;
+  Energy lag_open_ = 0;
+  bool lag_on_ = false;
+  bool lag_traced_ = false;
+  std::uint64_t lag_resume_at_ = kLagStartNodes;
+  std::uint32_t lag_window_evals_ = 0;
+  std::uint32_t lag_window_prunes_ = 0;
+  unsigned lag_failed_windows_ = 0;  ///< in a row
+  std::uint64_t lagrangian_prunes_ = 0;
+  std::vector<Candidate> lag_heap_;
+  std::vector<double> lag_x_;
+  std::vector<std::uint32_t> lag_taken_;
+  struct Gradient {
+    std::uint32_t edge;
+    double g;
+  };
+  std::vector<Gradient> lag_grad_;
+
+  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace

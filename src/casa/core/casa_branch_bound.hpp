@@ -2,10 +2,12 @@
 //
 // The presolved problem is a quadratic-knapsack variant: choose items under
 // a capacity so that linear values plus once-per-edge bonuses are maximized.
-// This branch & bound explores items in static optimistic-density order and
-// prunes with a fractional-knapsack bound over static optimistic values
-// (value + all incident edge weights — an upper bound on any completion, so
-// pruning is sound and the search is exact).
+// This branch & bound explores items in optimistic-density order and
+// prunes with a fractional-knapsack bound over optimistic values (value +
+// every uncovered incident edge weight — an upper bound on any completion,
+// so pruning is sound and the search is exact). On searches past a few
+// hundred nodes, a Lagrangian bound of LP strength prunes where that one
+// fails (docs/solver.md, "Lagrangian bound").
 //
 // The generic ilp::BranchAndBound solves the same instances through the
 // paper's LP formulation; this solver exists because it is orders of
@@ -32,7 +34,10 @@ struct CasaBranchBoundResult {
   std::uint64_t nodes = 0;   ///< == stats.nodes (kept for existing callers)
   bool exact = true;  ///< false when max_nodes aborted the proof
   /// Exploration statistics (simplex_iterations stays 0 — no LPs here).
+  /// stats.bound_prunes counts the prunes of both bounds.
   ilp::SolveStats stats;
+  /// Prunes made by the Lagrangian bound where the knapsack bound failed.
+  std::uint64_t lagrangian_prunes = 0;
 };
 
 class CasaBranchBound {

@@ -47,6 +47,8 @@ inline constexpr std::string_view kIlpWarmStart = "ilp.warm_start";
 inline constexpr std::string_view kIlpRcFixed = "ilp.rc_fixed";
 inline constexpr std::string_view kIlpNodes = "ilp.nodes";
 inline constexpr std::string_view kIlpPrunes = "ilp.prunes";
+/// Counter: the specialized engine's tuned root Lagrangian bound (saving).
+inline constexpr std::string_view kIlpLagrangianBound = "ilp.lagrangian_bound";
 /// Sweep instant payload: reuses the metric name so the timeline and the
 /// aggregate view key the same quantity identically.
 inline constexpr std::string_view kSweepConfigsPerPass =
@@ -85,6 +87,7 @@ inline constexpr std::string_view kAll[] = {
     kSweep,        kSweepStackPass, kIlpSubtree,
     kIlpIncumbent, kIlpPresolve,  kIlpWarmStart,
     kIlpRcFixed,   kIlpNodes,     kIlpPrunes,
+    kIlpLagrangianBound,
     kSweepConfigsPerPass, kFaultInjected, kRunnerRetry,
     kSweepDegraded, kSvcRequest,   kSvcCompute,
 };

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <system_error>
 #include <utility>
-
-#include "casa/support/error.hpp"
 
 namespace casa::support {
 
@@ -15,7 +14,26 @@ ThreadIdent& ident_slot() {
   return ident;
 }
 
+/// The worker index FailWorkerStartForTesting makes fail on this thread.
+constexpr unsigned kNoFailure = ~0u;
+thread_local unsigned fail_worker_start = kNoFailure;
+
 }  // namespace
+
+ThreadStartError::ThreadStartError(unsigned worker_index, unsigned requested,
+                                   const std::string& cause)
+    : Error("thread pool: starting worker " + std::to_string(worker_index) +
+            " of " + std::to_string(requested) + " failed (" + cause + ")"),
+      worker_index_(worker_index),
+      requested_(requested) {}
+
+FailWorkerStartForTesting::FailWorkerStartForTesting(unsigned index) {
+  fail_worker_start = index;
+}
+
+FailWorkerStartForTesting::~FailWorkerStartForTesting() {
+  fail_worker_start = kNoFailure;
+}
 
 const ThreadIdent& this_thread_ident() { return ident_slot(); }
 
@@ -39,11 +57,24 @@ ThreadPool::ThreadPool(unsigned threads, std::string name)
   const unsigned n = resolve(threads);
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    try {
+      if (i == fail_worker_start) {
+        throw std::system_error(
+            std::make_error_code(std::errc::resource_unavailable_try_again));
+      }
+      workers_.emplace_back([this, i] { worker_loop(i); });
+    } catch (const std::exception& e) {
+      // A joinable std::thread destroyed by the unwinding would terminate
+      // the process: stop and join the started workers first.
+      stop_and_join();
+      throw ThreadStartError(i, n, e.what());
+    }
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;

@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include "casa/support/error.hpp"
+
 namespace casa::support {
 
 /// Who the current thread is, for observability track labels. Pool workers
@@ -48,11 +50,39 @@ struct TaskError {
   std::exception_ptr error;
 };
 
+/// Thrown by the ThreadPool constructor when the system refuses a worker
+/// thread (a process or memory limit). The workers it had started are
+/// stopped and joined first, so the failure leaves no thread behind.
+class ThreadStartError : public Error {
+ public:
+  ThreadStartError(unsigned worker_index, unsigned requested,
+                   const std::string& cause);
+  unsigned worker_index() const { return worker_index_; }
+  unsigned requested() const { return requested_; }
+
+ private:
+  unsigned worker_index_;
+  unsigned requested_;
+};
+
+/// Test seam for that failure: while one is alive, ThreadPool constructors
+/// on the creating thread fail to start worker `index` with the
+/// std::system_error thread creation reports. A process limit cannot stand
+/// in for it in a test, because a privileged process ignores RLIMIT_NPROC.
+class FailWorkerStartForTesting {
+ public:
+  explicit FailWorkerStartForTesting(unsigned index);
+  ~FailWorkerStartForTesting();
+  FailWorkerStartForTesting(const FailWorkerStartForTesting&) = delete;
+  FailWorkerStartForTesting& operator=(const FailWorkerStartForTesting&) =
+      delete;
+};
+
 class ThreadPool {
  public:
   /// Spawns resolve(threads) workers; 0 means hardware_concurrency (at
   /// least 1). Workers ident themselves as "<name>-<index>" (see
-  /// ThreadIdent).
+  /// ThreadIdent). Throws ThreadStartError when a worker cannot start.
   explicit ThreadPool(unsigned threads = 0, std::string name = "worker");
   ~ThreadPool();
 
@@ -91,6 +121,9 @@ class ThreadPool {
 
  private:
   void worker_loop(unsigned index);
+
+  /// Tells every worker to stop once the queue drains, and joins them.
+  void stop_and_join();
 
   /// Waits for the batch to drain and moves the captured errors out,
   /// sorted by task index. Resets the batch index counter.

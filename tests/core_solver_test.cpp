@@ -6,11 +6,17 @@
 // the optimum.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+
 #include "casa/core/allocator.hpp"
 #include "casa/core/casa_branch_bound.hpp"
 #include "casa/core/formulation.hpp"
 #include "casa/core/greedy.hpp"
 #include "casa/ilp/branch_bound.hpp"
+#include "casa/obs/trace_names.hpp"
+#include "casa/obs/tracer.hpp"
 #include "casa/support/rng.hpp"
 
 namespace casa::core {
@@ -162,6 +168,203 @@ TEST(CasaBranchBound, NodeLimitFlagsInexact) {
     if (r.chosen[k]) w += sp.weight[k];
   }
   EXPECT_LE(w, sp.capacity);
+}
+
+// --------------------------------------- CasaBranchBound: Lagrangian bound ---
+
+/// A dyadic value in [0, scale): ten fraction bits, so every sum the solver
+/// and the brute force form on these instances is exact.
+double dyadic(Rng& rng, double scale) {
+  return std::ldexp(std::floor(rng.next_unit() * scale * 1024.0), -10);
+}
+
+/// An instance shaped like g721@1024's: mostly small items with values
+/// spread over three to four decades, heavier conflict edges, and a capacity of
+/// half the total size, so most hot items fit. The last `twins` items copy
+/// an earlier item's size, value and edges, which plants exact ties.
+SavingsProblem shaped_instance(std::uint64_t seed, std::size_t items,
+                               std::size_t edges_per_item,
+                               std::size_t twins) {
+  Rng rng(seed);
+  SavingsProblem sp;
+  const std::size_t base = items - twins;
+  for (std::size_t k = 0; k < base; ++k) {
+    const int decade = static_cast<int>(1 + rng.next_below(12));
+    sp.value.push_back(dyadic(rng, std::ldexp(1.0, decade)));
+    sp.weight.push_back(rng.next_bool(0.25) ? 4 * (25 + rng.next_below(64))
+                                            : 4 * (3 + rng.next_below(20)));
+  }
+  for (std::size_t e = 0; e < edges_per_item * base; ++e) {
+    const auto a = static_cast<std::uint32_t>(rng.next_below(base));
+    auto b = static_cast<std::uint32_t>(rng.next_below(base));
+    if (b == a) b = (b + 1) % base;
+    const int decade = static_cast<int>(1 + rng.next_below(12));
+    sp.edges.push_back(SavingsProblem::Edge{
+        std::min(a, b), std::max(a, b), dyadic(rng, std::ldexp(8.0, decade))});
+  }
+  for (std::size_t t = 0; t < twins; ++t) {
+    const auto of = static_cast<std::uint32_t>(rng.next_below(base));
+    const auto k = static_cast<std::uint32_t>(sp.value.size());
+    sp.value.push_back(sp.value[of]);
+    sp.weight.push_back(sp.weight[of]);
+    const std::size_t edges = sp.edges.size();
+    for (std::size_t e = 0; e < edges; ++e) {
+      const SavingsProblem::Edge edge = sp.edges[e];
+      if (edge.a != of && edge.b != of) continue;
+      const std::uint32_t other = edge.a == of ? edge.b : edge.a;
+      sp.edges.push_back(SavingsProblem::Edge{std::min(other, k),
+                                              std::max(other, k), edge.weight});
+    }
+  }
+  Bytes total = 0;
+  for (std::size_t k = 0; k < sp.value.size(); ++k) {
+    sp.object_of.push_back(MemoryObjectId(static_cast<std::uint32_t>(k)));
+    sp.all_cached_energy += sp.value[k];
+    total += sp.weight[k];
+  }
+  for (const SavingsProblem::Edge& e : sp.edges) {
+    sp.all_cached_energy += e.weight;
+  }
+  sp.capacity = total / 2;
+  return sp;
+}
+
+/// The optimal saving over every mask that fits, visited in Gray-code order:
+/// each step flips one item and updates size and saving in O(degree).
+Energy gray_code_optimum(const SavingsProblem& sp) {
+  const std::size_t n = sp.item_count();
+  std::vector<std::vector<std::uint32_t>> incident(n);
+  for (std::uint32_t e = 0; e < sp.edges.size(); ++e) {
+    incident[sp.edges[e].a].push_back(e);
+    incident[sp.edges[e].b].push_back(e);
+  }
+  std::vector<std::uint8_t> cover(sp.edges.size(), 0);
+  std::vector<bool> in(n, false);
+  Bytes used = 0;
+  Energy saving = 0;
+  Energy best = 0;
+  for (std::uint64_t step = 1; step < (std::uint64_t{1} << n); ++step) {
+    const auto k = static_cast<std::size_t>(std::countr_zero(step));
+    in[k] = !in[k];
+    if (in[k]) {
+      used += sp.weight[k];
+      saving += sp.value[k];
+      for (const std::uint32_t e : incident[k]) {
+        if (cover[e]++ == 0) saving += sp.edges[e].weight;
+      }
+    } else {
+      used -= sp.weight[k];
+      saving -= sp.value[k];
+      for (const std::uint32_t e : incident[k]) {
+        if (--cover[e] == 0) saving -= sp.edges[e].weight;
+      }
+    }
+    if (used <= sp.capacity && saving > best) best = saving;
+  }
+  return best;
+}
+
+/// Solves seeded shaped instances of 20-22 items twice each: the saving
+/// must equal the Gray-code optimum, both solves must agree on mask and
+/// node count, and the Lagrangian bound must have pruned somewhere.
+void check_shaped_instances(std::size_t edges_per_item) {
+  std::uint64_t lagrangian_prunes = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::size_t twins = seed % 3 == 0 ? 2 : 0;
+    const SavingsProblem sp = shaped_instance(
+        seed * 7919 + edges_per_item, 20 + seed % 3, edges_per_item, twins);
+    const CasaBranchBoundResult r = CasaBranchBound().solve(sp);
+    const CasaBranchBoundResult again = CasaBranchBound().solve(sp);
+    ASSERT_TRUE(r.exact) << "seed " << seed;
+    EXPECT_EQ(r.saving, gray_code_optimum(sp)) << "seed " << seed;
+    EXPECT_EQ(r.chosen, again.chosen) << "seed " << seed;
+    EXPECT_EQ(r.stats.nodes, again.stats.nodes) << "seed " << seed;
+    EXPECT_EQ(r.lagrangian_prunes, again.lagrangian_prunes) << "seed " << seed;
+    EXPECT_LE(r.lagrangian_prunes, r.stats.bound_prunes) << "seed " << seed;
+    lagrangian_prunes += r.lagrangian_prunes;
+  }
+  EXPECT_GT(lagrangian_prunes, 0u);
+}
+
+TEST(CasaBranchBound, LagrangianBoundKeepsSparseOptima) {
+  check_shaped_instances(2);
+}
+
+TEST(CasaBranchBound, LagrangianBoundKeepsDenseOptima) {
+  check_shaped_instances(8);
+}
+
+TEST(CasaBranchBound, LagrangianBoundAgreesWithGenericOnLongSearches) {
+  // 50-60 items run thousands of nodes, long enough for the bound's
+  // evaluation windows and back-off; the generic engine's LP-based search
+  // is the independent reference.
+  for (const auto& [seed, items] :
+       {std::pair<std::uint64_t, std::size_t>{2, 50}, {3, 50}, {1, 60}}) {
+    const SavingsProblem sp = shaped_instance(seed, items, 3, 0);
+    const CasaBranchBoundResult r = CasaBranchBound().solve(sp);
+    ASSERT_TRUE(r.exact) << items << " items, seed " << seed;
+    EXPECT_GT(r.stats.nodes, 4096u) << items << " items, seed " << seed;
+    EXPECT_GT(r.lagrangian_prunes, 0u) << items << " items, seed " << seed;
+    const CasaModel cm = build_casa_model(sp, Linearization::kTight);
+    const ilp::Solution sol = ilp::BranchAndBound().solve(cm.model);
+    ASSERT_EQ(sol.status, ilp::SolveStatus::kOptimal);
+    EXPECT_NEAR(sp.all_cached_energy - r.saving,
+                cm.objective_offset + sol.objective, 1e-6)
+        << items << " items, seed " << seed;
+  }
+}
+
+TEST(CasaBranchBound, TracedSolveEmitsProgressIncumbentsAndRootBound) {
+  const SavingsProblem sp = shaped_instance(2, 50, 3, 0);
+  const CasaBranchBoundResult plain = CasaBranchBound().solve(sp);
+
+  obs::Tracer tracer;
+  obs::Tracer::set_current(&tracer);
+  const CasaBranchBoundResult r = CasaBranchBound().solve(sp);
+  obs::Tracer::set_current(nullptr);
+
+  // Tracing reads the search; it never steers it.
+  EXPECT_EQ(r.chosen, plain.chosen);
+  EXPECT_EQ(r.stats.nodes, plain.stats.nodes);
+  EXPECT_EQ(r.lagrangian_prunes, plain.lagrangian_prunes);
+  ASSERT_GT(r.stats.nodes, 1024u);
+  ASSERT_GT(r.stats.incumbent_updates, 0u);
+
+  std::vector<double> nodes, prunes, incumbents, bounds;
+  double final_prunes = -1;
+  for (const obs::TraceEvent& e : tracer.drain().events) {
+    const bool counter = e.kind == obs::TraceEventKind::kCounter;
+    const bool instant = e.kind == obs::TraceEventKind::kInstant;
+    if (counter && e.name == obs::trace_names::kIlpNodes) {
+      nodes.push_back(e.value);
+    } else if (counter && e.name == obs::trace_names::kIlpPrunes) {
+      prunes.push_back(e.value);
+    } else if (instant && e.name == obs::trace_names::kIlpPrunes) {
+      final_prunes = e.value;
+    } else if (instant && e.name == obs::trace_names::kIlpIncumbent) {
+      incumbents.push_back(e.value);
+    } else if (counter && e.name == obs::trace_names::kIlpLagrangianBound) {
+      bounds.push_back(e.value);
+    }
+  }
+  // One nodes/prunes sample per 1024 nodes.
+  ASSERT_EQ(nodes.size(), r.stats.nodes / 1024);
+  ASSERT_EQ(prunes.size(), nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(nodes[i], 1024.0 * static_cast<double>(i + 1));
+  }
+  EXPECT_TRUE(std::is_sorted(prunes.begin(), prunes.end()));
+  EXPECT_EQ(final_prunes, static_cast<double>(r.stats.bound_prunes));
+  // One instant per incumbent, each better than the last; the instance is
+  // dyadic, so the last one is the returned saving exactly.
+  ASSERT_EQ(incumbents.size(), r.stats.incumbent_updates);
+  for (std::size_t i = 1; i < incumbents.size(); ++i) {
+    EXPECT_GT(incumbents[i], incumbents[i - 1]);
+  }
+  EXPECT_EQ(incumbents.back(), r.saving);
+  // The tuned root bound, once: an upper bound on the optimum.
+  ASSERT_EQ(bounds.size(), 1u);
+  EXPECT_GE(bounds.front(), r.saving);
 }
 
 // ------------------------------------------------------------- Allocator ---

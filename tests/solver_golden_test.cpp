@@ -20,8 +20,16 @@
 // the specialized engine's mask to the generic search as an objective
 // cutoff: it prunes nodes that cannot reach that mask's energy, so 12 of
 // the 18 generic rows explore fewer nodes and find fewer incumbents above
-// the cutoff. Their engine, mask, predicted energy and root gap columns,
-// and all 9 specialized rows, are unchanged from the reference recording.
+// the cutoff. Their engine, mask, predicted energy and root gap columns
+// are unchanged from the reference recording.
+//
+// The specialized rows' nodes and bound_prunes were re-recorded when that
+// engine gained its Lagrangian bound, a second prune test on searches past
+// 256 nodes: g721/512, g721/1024, mpeg/512 and mpeg/1024 explore fewer
+// nodes (g721/1024: 972637 -> 29163). It prunes only subtrees that cannot
+// beat the incumbent, so every mask, predicted energy, root gap and
+// incumbent_updates count of those rows, and every generic row, is
+// unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -45,12 +53,12 @@ const char* const kGolden[] = {
     "adpcm/256 generic-ilp 11101000000000000000001001010 0x1.93048ed6d1abp+20 0x1.1c7ebec19aab2p+21 8 1048 7 1",
     "g721/128 specialized-bnb 000001000100000000000000100000000000000000010000000000000000000000000001111000000 0x1.02daabcb9394dp+25 0x0p+0 17 0 8 1",
     "g721/256 specialized-bnb 0000000011000000000001000000000001010010000000000000101111100000 0x1.c7667a856e5dp+24 0x0p+0 37 0 19 0",
-    "g721/512 specialized-bnb 01000001111000011000000000000000011001000000000000001110101000 0x1.48ccb906e0166p+24 0x0p+0 1935 0 955 7",
-    "g721/1024 specialized-bnb 01101110111111111000000000001000011100000000000000001111101000 0x1.2be11aea16f12p+23 0x0p+0 972637 0 486306 8",
+    "g721/512 specialized-bnb 01000001111000011000000000000000011001000000000000001110101000 0x1.48ccb906e0166p+24 0x0p+0 693 0 334 7",
+    "g721/1024 specialized-bnb 01101110111111111000000000001000011100000000000000001111101000 0x1.2be11aea16f12p+23 0x0p+0 29163 0 14569 8",
     "mpeg/128 specialized-bnb 00000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000011100000000000 0x1.0290319be4edcp+24 0x0p+0 167 0 76 2",
     "mpeg/256 specialized-bnb 0000000000000000000000000000000010000000000000000000001100000000100001100000000000000000000000000000000000000000000000000000000000000000000001010000000000 0x1.e7fbba84d9016p+23 0x0p+0 211 0 88 0",
-    "mpeg/512 specialized-bnb 000000000000000000000000000000000000011101000000111000010000000000000000000000000000000000000100000000000 0x1.937612f3f2d7p+23 0x0p+0 395 0 178 7",
-    "mpeg/1024 specialized-bnb 000001000000000000000010001110000000100010000001100001100000000000000000000000000111110000000000 0x1.19e8837ee41fbp+23 0x0p+0 1081 0 526 8",
+    "mpeg/512 specialized-bnb 000000000000000000000000000000000000011101000000111000010000000000000000000000000000000000000100000000000 0x1.937612f3f2d7p+23 0x0p+0 391 0 176 7",
+    "mpeg/1024 specialized-bnb 000001000000000000000010001110000000100010000001100001100000000000000000000000000111110000000000 0x1.19e8837ee41fbp+23 0x0p+0 309 0 140 8",
     "epic/64 generic-ilp 000000000010000000000000000000000000000000000000000000000 0x1.1229de18a339ep+19 0x1.fe10da8f9cda8p+13 92 2052 4 2",
     "epic/128 generic-ilp 000000100000000000000000000000000000000110000000 0x1.c588119e335b3p+18 0x1.4929a39727dcp+15 216 25379 25 1",
     "epic/256 generic-ilp 01000000000000000000000000000000000 0x1.43eba7252b882p+18 0x1.88d66d3241e8p+12 72 5474 4 0",

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <unordered_set>
 
 #include "casa/support/error.hpp"
@@ -279,6 +282,16 @@ std::size_t live_threads() {
   return n;
 }
 
+/// Whether the thread count comes back to `baseline` within a few seconds:
+/// a joined thread can linger in /proc/self/task for a moment after
+/// pthread_join returns, while the kernel finishes its exit.
+bool threads_return_to(std::size_t baseline) {
+  for (int i = 0; i < 5000 && live_threads() != baseline; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return live_threads() == baseline;
+}
+
 TEST(ThreadPool, RefusesCountsAboveTheCapBeforeSpawning) {
   using support::ThreadPool;
   EXPECT_EQ(ThreadPool::resolve(ThreadPool::kMaxThreads),
@@ -298,6 +311,36 @@ TEST(ThreadPool, RefusesCountsAboveTheCapBeforeSpawning) {
   EXPECT_THROW(ThreadPool pool(ThreadPool::kMaxThreads + 1),
                PreconditionError);
   EXPECT_EQ(live_threads(), before);
+}
+
+TEST(ThreadPool, FailedWorkerStartJoinsStartedWorkersAndThrows) {
+  using support::ThreadPool;
+  // ThreadSanitizer starts a helper thread along with the process's first
+  // thread; start one here so the baseline already counts it.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  for (const unsigned failing : {0u, 2u}) {
+    const support::FailWorkerStartForTesting seam(failing);
+    try {
+      ThreadPool pool(4, "seam");
+      FAIL() << "worker " << failing << " started despite the seam";
+    } catch (const support::ThreadStartError& e) {
+      EXPECT_EQ(e.worker_index(), failing);
+      EXPECT_EQ(e.requested(), 4u);
+      EXPECT_NE(std::string(e.what()).find(
+                    "worker " + std::to_string(failing) + " of 4"),
+                std::string::npos)
+          << e.what();
+    }
+    // The workers started before the failure were joined, not leaked.
+    EXPECT_TRUE(threads_return_to(before)) << "failing worker " << failing;
+  }
+  // With the seam gone, a pool starts and runs tasks again.
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 8; ++i) pool.submit([&ran] { ++ran; });
+  pool.wait();
+  EXPECT_EQ(ran.load(), 8);
 }
 
 }  // namespace

@@ -30,7 +30,9 @@
 # configuration on the largest bundled workload) is gated on wall-clock
 # (same tolerance) and the explored-node counter: node counts are
 # deterministic, so ANY increase over the baseline fails. The solver-path
-# entries BM_SpecializedBnB/g721_1024 and BM_GenericIlpTight/g721_512 are
+# entries BM_SpecializedBnB/g721_1024 (Table 1's longest proof),
+# BM_SpecializedBnB/mpeg_L16_1K_2w_1024 (a dense sweep instance on which
+# the Lagrangian bound backs off) and BM_GenericIlpTight/g721_512 are
 # gated on exact equality of `nodes` and `simplex_iterations`: the kernels
 # promise a bit-identical search (docs/solver.md, "Bit-exact kernel
 # contract"), so a changed branching order or pivot path fails here even
@@ -65,7 +67,7 @@ done
 
 bench_bin="$build_dir/bench/cachesim_throughput"
 solver_bin="$build_dir/bench/ilp_runtime"
-solver_filter="BM_GenericIlpWarmStarted|BM_SpecializedBnB/g721_1024$|BM_GenericIlpTight/g721_512$"
+solver_filter="BM_GenericIlpWarmStarted|BM_SpecializedBnB/g721_1024$|BM_SpecializedBnB/mpeg_L16_1K_2w_1024$|BM_GenericIlpTight/g721_512$"
 baseline="$repo_root/BENCH_cachesim.json"
 min_time="${BENCH_MIN_TIME:-0.2}"
 tolerance="${BENCH_TOLERANCE:-0.20}"
@@ -323,7 +325,9 @@ elif current:
 # recorded baseline (the search is deterministic — more nodes means the
 # search strategy regressed, not the host). The solver-path entries must
 # reproduce their node and pivot counts exactly instead.
-exact_path = {"BM_SpecializedBnB/g721_1024", "BM_GenericIlpTight/g721_512"}
+exact_path = {"BM_SpecializedBnB/g721_1024",
+              "BM_SpecializedBnB/mpeg_L16_1K_2w_1024",
+              "BM_GenericIlpTight/g721_512"}
 solver_current = {b["name"]: b for b in solver_run.get("benchmarks", [])
                   if "nodes" in b}
 solver_base = base.get("solver", {})
