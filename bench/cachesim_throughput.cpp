@@ -6,7 +6,10 @@
 // The compiled-stream pairs (BM_ConflictGraphBuild vs …WordRef,
 // BM_HierarchySimulation vs …WordRef) measure the line-granular fetch
 // stream against the word-granular reference on identical inputs; their
-// items/sec ratio is the compiled-stream speedup. The one-pass pairs
+// items/sec ratio is the compiled-stream speedup. mpeg's paper cache is
+// direct-mapped, so those line replays run on cachesim::DirectMappedCache;
+// their …TwoWay twins replay the same stream through a 2-way Cache, and
+// each ratio to its twin is the tag model's speedup. The one-pass pairs
 // (BM_StackSweep vs …PerConfigRef, BM_ConflictGraphFamily vs
 // …PerConfigRef) measure one stack replay of a geometry family against one
 // replay per configuration. BM_ParallelSweep runs a
@@ -137,10 +140,17 @@ void BM_CompiledStreamBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_ConflictGraphBuild(benchmark::State& state) {
+/// mpeg's paper cache (direct-mapped) with `ways` ways at the same size.
+cachesim::CacheConfig mpeg_cache(unsigned ways) {
+  cachesim::CacheConfig cache = workloads::paper_cache_for("mpeg");
+  cache.associativity = ways;
+  return cache;
+}
+
+void conflict_graph_build(benchmark::State& state, unsigned ways) {
   const Pipeline& p = pipeline();
   conflict::BuildOptions opt;
-  opt.cache = workloads::paper_cache_for("mpeg");
+  opt.cache = mpeg_cache(ways);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         conflict::build_conflict_graph(p.tp, p.layout, p.exec.walk, opt));
@@ -148,6 +158,17 @@ void BM_ConflictGraphBuild(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(p.exec.total_fetches));
+}
+
+// The direct-mapped tag model (mpeg's paper cache is 1-way).
+void BM_ConflictGraphBuild(benchmark::State& state) {
+  conflict_graph_build(state, 1);
+}
+
+// The same stream through the generic set-associative Cache: 2 ways.
+// tools/bench_check.sh gates BM_ConflictGraphBuild >= 2x this.
+void BM_ConflictGraphBuildTwoWay(benchmark::State& state) {
+  conflict_graph_build(state, 2);
 }
 
 void BM_ConflictGraphBuildWordRef(benchmark::State& state) {
@@ -164,9 +185,9 @@ void BM_ConflictGraphBuildWordRef(benchmark::State& state) {
       static_cast<std::int64_t>(p.exec.total_fetches));
 }
 
-void BM_HierarchySimulation(benchmark::State& state) {
+void hierarchy_simulation(benchmark::State& state, unsigned ways) {
   const Pipeline& p = pipeline();
-  const auto cache = workloads::paper_cache_for("mpeg");
+  const auto cache = mpeg_cache(ways);
   const auto energies = energy::EnergyTable::build(cache, 512, 0, 0);
   const std::vector<bool> none(p.tp.object_count(), false);
   for (auto _ : state) {
@@ -176,6 +197,17 @@ void BM_HierarchySimulation(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(p.exec.total_fetches));
+}
+
+// The direct-mapped tag model (mpeg's paper cache is 1-way).
+void BM_HierarchySimulation(benchmark::State& state) {
+  hierarchy_simulation(state, 1);
+}
+
+// The same stream through the generic set-associative Cache: 2 ways.
+// tools/bench_check.sh gates BM_HierarchySimulation >= 2x this.
+void BM_HierarchySimulationTwoWay(benchmark::State& state) {
+  hierarchy_simulation(state, 2);
 }
 
 void BM_HierarchySimulationWordRef(benchmark::State& state) {
@@ -478,8 +510,10 @@ BENCHMARK(BM_RawCacheAccessLine)->Arg(1)->Arg(2)->Arg(4);
 BENCHMARK(BM_Executor)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompiledStreamBuild);
 BENCHMARK(BM_ConflictGraphBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConflictGraphBuildTwoWay)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConflictGraphBuildWordRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulation)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HierarchySimulationTwoWay)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationWordRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackSweepPerConfigRef)->Unit(benchmark::kMillisecond);

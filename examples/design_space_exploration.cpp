@@ -13,12 +13,12 @@
 // ordered, identical for any thread count, and bit-identical to running
 // each point alone.
 //
-// The batch runs fail-soft (fail_fast off and one transient retry): a sweep point that dies is reported as a failed row while every
-// other split still produces data — per-point failure is data in a DSE, not
-// a crash. Try it with injection (docs/faults.md):
+// The batch runs fail-soft (fail_fast off and one transient retry): a
+// sweep point that dies is reported as a failed row while every other split
+// still produces data — per-point failure is data in a DSE, not a crash.
+// Try it with injection (docs/faults.md):
 //
-//   CASA_FAULT_SPEC="site=fault.solver.allocate,action=throw,arg=3" \
-//     ./design_space_exploration
+//   CASA_FAULT_SPEC="site=fault.solver.allocate,action=throw,arg=3" ./design_space_exploration
 #include <cstdlib>
 #include <iostream>
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 
+#include "casa/cachesim/direct_mapped.hpp"
 #include "casa/cachesim/stack_sim.hpp"
 #include "casa/support/error.hpp"
 
@@ -76,11 +77,20 @@ class PairCounts {
   std::size_t used_ = 0;
 };
 
+/// Every fetch that is neither a cold miss nor one of its object's m_ij
+/// misses hit. The line replays count misses only and derive hits here.
+std::vector<std::uint64_t> hits_from(std::vector<std::uint64_t> fetches,
+                                     const std::vector<std::uint64_t>& cold,
+                                     const std::vector<Edge>& edges) {
+  for (std::size_t i = 0; i < fetches.size(); ++i) fetches[i] -= cold[i];
+  for (const Edge& e : edges) fetches[e.from.index()] -= e.misses;
+  return fetches;
+}
+
 /// Mutable build state shared by both replay granularities.
 struct BuildState {
   std::vector<std::uint64_t> fetches;
   std::vector<std::uint64_t> cold;
-  std::vector<std::uint64_t> hits;
   PairCounts m;
   // Line first_line + k -> object whose fill evicted it (invalid: none).
   // Every replayed line lies in [first_line, first_line + evicted_by.size()).
@@ -88,7 +98,7 @@ struct BuildState {
   std::uint64_t first_line = 0;
 
   BuildState(std::size_t n, std::uint64_t first, std::uint64_t end_line)
-      : fetches(n, 0), cold(n, 0), hits(n, 0),
+      : fetches(n, 0), cold(n, 0),
         evicted_by(end_line - first), first_line(first) {}
 
   MemoryObjectId& evictor(std::uint64_t line) {
@@ -98,9 +108,10 @@ struct BuildState {
   }
 
   /// Miss bookkeeping for one missing line access by `mo` (paper eq. 5/6):
-  /// attribute the miss to its recorded evictor, or count it cold.
+  /// attribute the miss to its recorded evictor, or count it cold. Takes
+  /// the victim by value, so a hit never materializes an AccessResult.
   void on_miss(MemoryObjectId mo, std::uint64_t line,
-               const cachesim::AccessResult& r) {
+               std::optional<std::uint64_t> evicted_line) {
     MemoryObjectId& ev = evictor(line);
     if (!ev.valid()) {
       ++cold[mo.index()];
@@ -108,14 +119,15 @@ struct BuildState {
       m.increment((static_cast<std::uint64_t>(mo.value()) << 32) | ev.value());
       ev = MemoryObjectId::invalid();
     }
-    if (r.evicted_line.has_value()) {
-      evictor(*r.evicted_line) = mo;
-    }
+    if (evicted_line.has_value()) evictor(*evicted_line) = mo;
   }
 
-  ConflictGraph finish(std::size_t n) {
+  /// The graph, with `hits` per object; empty derives them (hits_from).
+  ConflictGraph finish(std::size_t n, std::vector<std::uint64_t> hits = {}) {
+    std::vector<Edge> edges = m.edges();
+    if (hits.empty()) hits = hits_from(fetches, cold, edges);
     return ConflictGraph(n, std::move(fetches), std::move(cold),
-                         std::move(hits), m.edges());
+                         std::move(hits), std::move(edges));
   }
 };
 
@@ -129,6 +141,7 @@ ConflictGraph replay_words(const traceopt::TraceProgram& tp,
   const Bytes line = opt.cache.line_size;
   BuildState st(n, layout.base() / line,
                 (layout.base() + layout.span() + line - 1) / line);
+  std::vector<std::uint64_t> hits(n, 0);
 
   for (const BasicBlockId bb : walk.seq) {
     const MemoryObjectId mo = tp.object_of(bb);
@@ -139,13 +152,13 @@ ConflictGraph replay_words(const traceopt::TraceProgram& tp,
       ++st.fetches[mo.index()];
       const cachesim::AccessResult r = cache.access(addr);
       if (r.hit) {
-        ++st.hits[mo.index()];
+        ++hits[mo.index()];
         continue;
       }
-      st.on_miss(mo, cache.line_of(addr), r);
+      st.on_miss(mo, cache.line_of(addr), r.evicted_line);
     }
   }
-  return st.finish(n);
+  return st.finish(n, std::move(hits));
 }
 
 /// [first, end) line numbers of every run in `stream`.
@@ -163,33 +176,39 @@ std::pair<std::uint64_t, std::uint64_t> line_span(
   return {std::min(first_line, end_line), end_line};
 }
 
-ConflictGraph replay_lines(const traceopt::TraceProgram& tp,
-                           const trace::CompiledStream& stream,
-                           const trace::BlockWalk& walk,
-                           const BuildOptions& opt) {
+/// Line-granular replay, one body for both cache models
+/// (cachesim::DirectMappedCache at one way, cachesim::Cache otherwise).
+/// Fetches are summed once per executed block; per run the loop only
+/// attributes misses, and the hits follow as fetches minus misses.
+template <class CacheModel>
+ConflictGraph replay_runs(CacheModel& cache, const traceopt::TraceProgram& tp,
+                          const trace::CompiledStream& stream,
+                          const trace::BlockWalk& walk) {
   const std::size_t n = tp.object_count();
-  cachesim::Cache cache(opt.cache, opt.seed);
   const auto [first_line, end_line] = line_span(tp, stream);
   BuildState st(n, first_line, end_line);
 
   for (const BasicBlockId bb : walk.seq) {
     const MemoryObjectId mo = tp.object_of(bb);
-    const std::size_t moi = mo.index();
     CASA_CHECK(stream.cached(bb),
                "conflict build needs every executed block in the layout");
+    st.fetches[mo.index()] += stream.words_of(bb);
     for (const trace::LineRun& run : stream.runs(bb)) {
-      st.fetches[moi] += run.words;
       const cachesim::AccessResult r = cache.access_line(run.addr, run.words);
-      if (r.hit) {
-        st.hits[moi] += run.words;
-        continue;
-      }
       // Same-line run: only the first word can miss, the rest hit.
-      st.hits[moi] += run.words - 1;
-      st.on_miss(mo, run.line, r);
+      if (!r.hit) st.on_miss(mo, run.line, r.evicted_line);
     }
   }
   return st.finish(n);
+}
+
+ConflictGraph replay_lines(const traceopt::TraceProgram& tp,
+                           const trace::CompiledStream& stream,
+                           const trace::BlockWalk& walk,
+                           const BuildOptions& opt) {
+  return cachesim::with_line_model(opt.cache, opt.seed, [&](auto& cache) {
+    return replay_runs(cache, tp, stream, walk);
+  });
 }
 
 /// Family replays above this many objects build per config: the pair
@@ -336,19 +355,16 @@ std::vector<ConflictGraph> replay_family(const traceopt::TraceProgram& tp,
   graphs.reserve(members.size());
   for (Member& mb : members) {
     std::vector<MemoryObjectId>().swap(mb.evicted_by);
-    // Every miss is one cold miss or one m_ij; every other fetch hit.
     std::vector<Edge> edges;
     edges.reserve(static_cast<std::size_t>(
         mb.m.size() - std::count(mb.m.begin(), mb.m.end(), 0u)));
-    std::vector<std::uint64_t> hits(fetches);
-    for (std::size_t i = 0; i < n; ++i) hits[i] -= mb.cold[i];
     for (std::size_t id = 0; id < mb.m.size(); ++id) {
       if (mb.m[id] == 0) continue;
       edges.push_back(pairs.pair(id));
       edges.back().misses = mb.m[id];
-      hits[edges.back().from.index()] -= mb.m[id];
     }
     std::vector<std::uint32_t>().swap(mb.m);
+    std::vector<std::uint64_t> hits = hits_from(fetches, mb.cold, edges);
     graphs.emplace_back(n, fetches, std::move(mb.cold), std::move(hits),
                         std::move(edges));
   }

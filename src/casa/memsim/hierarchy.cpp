@@ -2,7 +2,9 @@
 
 #include <optional>
 #include <span>
+#include <type_traits>
 
+#include "casa/cachesim/direct_mapped.hpp"
 #include "casa/obs/metric_names.hpp"
 #include "casa/support/error.hpp"
 
@@ -156,9 +158,63 @@ class RegionSplit {
   std::vector<std::uint64_t> lc_words_;  ///< per block, loop-cache words
 };
 
-/// Line-granular inner loop over a compiled stream. With `regions`, runs are
-/// split at region edges (RegionSplit) and the loop-cache words are counted
-/// per block.
+/// One replay's ReplayTally and the cache-bound runs it replayed (the
+/// stream.replayed_runs telemetry).
+struct Tally {
+  ReplayTally words;
+  std::uint64_t runs = 0;
+};
+
+/// Line-granular inner loop over a compiled stream, one body for both
+/// cache models (cachesim::DirectMappedCache at one way, cachesim::Cache
+/// otherwise). Words are summed once per executed block by tier; per run
+/// the loop counts only misses, and the model yields the evictions. With
+/// `split`, runs are cut at loop-cache region edges (RegionSplit).
+template <class CacheModel>
+Tally replay_lines(CacheModel& cache, const traceopt::TraceProgram& tp,
+                   const trace::CompiledStream& stream,
+                   const trace::BlockWalk& walk,
+                   const std::vector<bool>& spm_mo, const RegionSplit* split) {
+  std::uint64_t spm_words = 0, lc_words = 0, cache_words = 0;
+  std::uint64_t misses = 0, runs_replayed = 0;
+  for (const BasicBlockId bb : walk.seq) {
+    const std::uint64_t words = stream.words_of(bb);
+    if (!spm_mo.empty() && spm_mo[tp.object_of(bb).index()]) {
+      spm_words += words;
+      continue;
+    }
+
+    CASA_CHECK(stream.cached(bb),
+               "cached block missing from the compiled layout");
+    std::span<const trace::LineRun> runs = stream.runs(bb);
+    if (split != nullptr) {
+      const std::uint64_t lc = split->lc_words(bb);
+      lc_words += lc;
+      cache_words += words - lc;
+      runs = split->runs(bb);
+    } else {
+      cache_words += words;
+    }
+    runs_replayed += runs.size();
+    // A per-block sum: a fresh local stays in a register across the runs.
+    std::uint64_t block_misses = 0;
+    for (const trace::LineRun& run : runs) {
+      block_misses += !cache.access_line(run.addr, run.words).hit;
+    }
+    misses += block_misses;
+  }
+  std::uint64_t evictions = 0;
+  if constexpr (std::is_same_v<CacheModel, cachesim::DirectMappedCache>) {
+    evictions = misses - cache.filled_sets();
+  } else {
+    evictions = cache.evictions();
+  }
+  return Tally{{spm_words, lc_words, cache_words, misses, evictions},
+               runs_replayed};
+}
+
+/// The line-granular replay on the model for `cache_cfg`, and the report
+/// derived from its tally.
 SimReport run_lines(const traceopt::TraceProgram& tp,
                     const trace::CompiledStream& stream,
                     const trace::BlockWalk& walk,
@@ -167,60 +223,19 @@ SimReport run_lines(const traceopt::TraceProgram& tp,
                     const cachesim::CacheConfig& cache_cfg,
                     const energy::EnergyTable& energies,
                     const SimOptions& opt) {
-  cachesim::Cache cache(cache_cfg, opt.seed);
-  const std::uint64_t line_words = cache_cfg.line_size / kWordBytes;
-  const LatencyParams& lat = opt.latency;
-  const std::uint64_t miss_cycles =
-      lat.cache_hit + lat.miss_base_penalty + line_words * lat.miss_per_word;
   std::optional<RegionSplit> split;
   if (regions != nullptr) {
     split.emplace(stream, *regions, tp.program().block_count());
   }
+  const RegionSplit* const cut = split ? &*split : nullptr;
+  const Tally t =
+      cachesim::with_line_model(cache_cfg, opt.seed, [&](auto& cache) {
+        return replay_lines(cache, tp, stream, walk, spm_mo, cut);
+      });
 
   SimReport rep;
-  SimCounters& c = rep.counters;
-  std::uint64_t runs_replayed = 0;
-
-  for (const BasicBlockId bb : walk.seq) {
-    const MemoryObjectId mo = tp.object_of(bb);
-    const std::uint64_t words = stream.words_of(bb);
-
-    if (!spm_mo.empty() && spm_mo[mo.index()]) {
-      c.total_fetches += words;
-      c.spm_accesses += words;
-      c.cycles += words * lat.spm_access;
-      continue;
-    }
-
-    CASA_CHECK(stream.cached(bb),
-               "cached block missing from the compiled layout");
-    std::span<const trace::LineRun> runs = stream.runs(bb);
-    if (split) {
-      const std::uint64_t lc = split->lc_words(bb);
-      c.total_fetches += lc;
-      c.lc_accesses += lc;
-      c.cycles += lc * lat.lc_access;
-      runs = split->runs(bb);
-    }
-    runs_replayed += runs.size();
-    for (const trace::LineRun& run : runs) {
-      c.total_fetches += run.words;
-      c.cache_accesses += run.words;
-      const cachesim::AccessResult r = cache.access_line(run.addr, run.words);
-      if (r.hit) {
-        c.cache_hits += run.words;
-        c.cycles += run.words * lat.cache_hit;
-      } else {
-        // Same-line run: the first word misses, the rest hit.
-        c.cache_hits += run.words - 1;
-        ++c.cache_misses;
-        c.mainmem_words += line_words;
-        c.cycles += (run.words - 1) * lat.cache_hit + miss_cycles;
-      }
-    }
-  }
-
-  c.cache_evictions = cache.evictions();
+  rep.counters = counters_from_tally(t.words, cache_cfg.line_size, opt.latency);
+  const SimCounters& c = rep.counters;
   finish(rep, energies, regions != nullptr);
   record_metrics(opt.metrics, c);
   if (opt.metrics != nullptr && regions == nullptr) {
@@ -228,7 +243,7 @@ SimReport run_lines(const traceopt::TraceProgram& tp,
     // image, dynamic runs replayed, and the words they collapsed. Scoped to
     // scratchpad and cache-only replays.
     opt.metrics->add(obs::metric_names::kStreamCompiledRuns, stream.total_runs());
-    opt.metrics->add(obs::metric_names::kStreamReplayedRuns, runs_replayed);
+    opt.metrics->add(obs::metric_names::kStreamReplayedRuns, t.runs);
     opt.metrics->add(obs::metric_names::kStreamReplayedWords,
                      c.cache_hits + c.cache_misses);
   }
@@ -282,6 +297,27 @@ SimReport simulate_cache_only(const traceopt::TraceProgram& tp,
                               const energy::EnergyTable& energies,
                               const SimOptions& opt) {
   return run(tp, layout, walk, {}, nullptr, cache_cfg, energies, opt);
+}
+
+SimCounters counters_from_tally(const ReplayTally& t, Bytes line_size,
+                                const LatencyParams& lat) {
+  const std::uint64_t line_words = line_size / kWordBytes;
+  SimCounters c;
+  c.spm_accesses = t.spm_words;
+  c.lc_accesses = t.lc_words;
+  c.cache_accesses = t.cache_words;
+  c.cache_misses = t.cache_misses;
+  c.cache_hits = t.cache_words - t.cache_misses;
+  c.cache_evictions = t.cache_evictions;
+  c.total_fetches = t.spm_words + t.lc_words + t.cache_words;
+  c.mainmem_words = t.cache_misses * line_words;
+  // Every cache word pays one hit latency and a missing word its line fill
+  // on top, so the cycle total collapses to four terms.
+  c.cycles = t.spm_words * lat.spm_access + t.lc_words * lat.lc_access +
+             t.cache_words * lat.cache_hit +
+             t.cache_misses *
+                 (lat.miss_base_penalty + line_words * lat.miss_per_word);
+  return c;
 }
 
 SimReport report_from_counters(const SimCounters& counters,

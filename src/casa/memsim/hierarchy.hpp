@@ -103,6 +103,25 @@ SimReport simulate_cache_only(const traceopt::TraceProgram& tp,
                               const energy::EnergyTable& energies,
                               const SimOptions& opt = {});
 
+/// What a line-granular replay counts: the word fetches each tier served,
+/// and the cache's misses (one per missing same-line run) and evictions.
+struct ReplayTally {
+  std::uint64_t spm_words = 0;
+  std::uint64_t lc_words = 0;
+  std::uint64_t cache_words = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t cache_evictions = 0;
+};
+
+/// The counters a line-granular replay reports for `tally`: hits are the
+/// cache words that did not miss, every missing word transfers one line,
+/// and cycles charge each word its tier's latency plus each miss its line
+/// fill. The compiled-stream simulations above and the one-pass sweep
+/// engine (Workbench::evaluate_batch, which reads misses and evictions off
+/// a stack pass) both derive their counters here.
+SimCounters counters_from_tally(const ReplayTally& tally, Bytes line_size,
+                                const LatencyParams& lat);
+
 /// Derives the full report (energies) from externally produced counters —
 /// the exact computation the simulators above apply to their own counters,
 /// so counter-identical inputs yield bit-identical reports. Used by the

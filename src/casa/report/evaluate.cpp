@@ -166,30 +166,6 @@ struct FamilyGraphs {
   bool degraded = false;
 };
 
-/// Counters a direct line-granular replay (memsim's compiled-stream path)
-/// would have produced, reconstructed from one configuration's slice of the
-/// stack pass. `spm_words` and the latency table are group-wide; everything
-/// else follows from the per-config hit/miss/eviction counts.
-memsim::SimCounters counters_from_stack(const cachesim::StackCounters& sc,
-                                        std::uint64_t spm_words,
-                                        Bytes line_size,
-                                        const memsim::LatencyParams& lat) {
-  const std::uint64_t line_words = line_size / kWordBytes;
-  memsim::SimCounters c;
-  c.spm_accesses = spm_words;
-  c.cache_hits = sc.hits;
-  c.cache_misses = sc.misses;
-  c.cache_evictions = sc.evictions;
-  c.cache_accesses = sc.hits + sc.misses;
-  c.total_fetches = spm_words + c.cache_accesses;
-  c.mainmem_words = sc.misses * line_words;
-  // run_lines charges every cache word one hit latency (a missing word pays
-  // its fill on top), so the cycle total collapses to three terms.
-  c.cycles = spm_words * lat.spm_access + c.cache_accesses * lat.cache_hit +
-             sc.misses * (lat.miss_base_penalty + line_words * lat.miss_per_word);
-  return c;
-}
-
 /// What one stack replay yields for its group: per-member counters plus the
 /// stream.* quantities a direct replay records.
 struct StackPass {
@@ -550,10 +526,17 @@ std::vector<JobResult> Workbench::evaluate_batch(
       }
     }
     out.compiled_runs = stream.total_runs();
-    const memsim::LatencyParams lat;  // finish_job's defaults
+    // Each member's counters as a direct line-granular replay would have
+    // derived them from its slice of the pass (finish_job's latencies).
+    const memsim::LatencyParams lat;
     for (const std::size_t u : grp) {
-      out.counters.push_back(counters_from_stack(
-          sim.counters(prepared[u].pj.job.cache), spm_words, line_size, lat));
+      const cachesim::StackCounters sc = sim.counters(prepared[u].pj.job.cache);
+      out.counters.push_back(memsim::counters_from_tally(
+          {.spm_words = spm_words,
+           .cache_words = sc.accesses(),
+           .cache_misses = sc.misses,
+           .cache_evictions = sc.evictions},
+          line_size, lat));
     }
     if (opt_.check_artifacts) {
       const memsim::SimReport direct_run = memsim::simulate_spm_system(

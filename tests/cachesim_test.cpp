@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "casa/cachesim/cache.hpp"
+#include "casa/cachesim/direct_mapped.hpp"
 #include "casa/support/error.hpp"
 #include "casa/support/rng.hpp"
 
@@ -164,6 +165,43 @@ TEST(Cache, SequentialScanMissRateIsPerLine) {
   for (int i = 0; i < words; ++i) c.access(static_cast<Addr>(i) * 4);
   EXPECT_EQ(c.misses(), 128u);  // one miss per line
   EXPECT_EQ(c.hits(), static_cast<std::uint64_t>(words) - 128u);
+}
+
+TEST(DirectMappedCache, MatchesOneWayCacheUnderEveryPolicy) {
+  // Random same-line runs through the tag model and through Cache at one
+  // way: every outcome and every victim agree, whatever the policy and
+  // seed (a one-way set has one victim; Random still draws from its RNG).
+  for (const auto policy :
+       {ReplacementPolicy::kLru, ReplacementPolicy::kFifo,
+        ReplacementPolicy::kRoundRobin, ReplacementPolicy::kRandom}) {
+    for (const Bytes line : {16u, 32u}) {
+      CacheConfig cfg = dm(512, line);
+      cfg.policy = policy;
+      DirectMappedCache tags(cfg);
+      Cache cache(cfg, 7);
+      Rng rng(5);
+      const auto max_words = static_cast<std::uint32_t>(line / kWordBytes);
+      for (int i = 0; i < 5000; ++i) {
+        const auto first =
+            static_cast<std::uint32_t>(rng.next_below(max_words));
+        const auto words =
+            static_cast<std::uint32_t>(1 + rng.next_below(max_words - first));
+        const Addr addr = rng.next_below(64) * line + first * kWordBytes;
+        const AccessResult a = tags.access_line(addr, words);
+        const AccessResult b = cache.access_line(addr, words);
+        ASSERT_EQ(a.hit, b.hit) << to_string(policy) << " access " << i;
+        ASSERT_EQ(a.evicted_line, b.evicted_line)
+            << to_string(policy) << " access " << i;
+      }
+    }
+  }
+}
+
+TEST(DirectMappedCache, ValidatesItsGeometry) {
+  EXPECT_THROW(DirectMappedCache{dm(48, 16)}, PreconditionError);
+  CacheConfig two_way = dm(512, 16);
+  two_way.associativity = 2;
+  EXPECT_THROW(DirectMappedCache{two_way}, PreconditionError);
 }
 
 // Parameterized invariants over cache geometries and policies.

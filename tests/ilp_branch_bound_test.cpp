@@ -466,7 +466,9 @@ TEST(BranchAndBoundParallel, EmitsSubtreeTraceEventsWhenTracerAttached) {
   EXPECT_EQ(incumbents, stats.incumbent_updates);
   EXPECT_EQ(presolves, 1u);  // presolve is on by default
   EXPECT_EQ(warms, stats.warm_start_used ? 1u : 0u);
-  if (stats.warm_start_used) EXPECT_EQ(rc_fixes, 1u);
+  if (stats.warm_start_used) {
+    EXPECT_EQ(rc_fixes, 1u);
+  }
 }
 
 TEST(BranchAndBoundParallel, SerialSolveLeavesNoSubtreeSpans) {
