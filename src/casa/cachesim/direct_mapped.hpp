@@ -9,13 +9,12 @@
 // refresh — so a hit is one load, one compare and one store, with no
 // branch.
 //
-// The line-granular replays of memsim (simulate_spm_system,
-// simulate_cache_only, simulate_loopcache_system) and
-// conflict::build_conflict_graph take this model whenever
-// associativity == 1 and Cache otherwise (with_line_model below); each
-// replay is one loop body instantiated for both. tests/compiled_stream_test.cpp holds both against
-// the word-granular replay through Cache, and tests/cachesim_test.cpp holds
-// access_line equal to Cache's under every policy.
+// Every single-configuration line replay (memsim/replay.hpp's kernel in
+// memsim, two-level L1, overlay, conflict graphs and phase profiles) takes
+// this model at one way and Cache otherwise (with_line_model below).
+// tests/compiled_stream_test.cpp holds both against the word-granular
+// replay through Cache; tests/cachesim_test.cpp holds access_line equal to
+// Cache's under every policy.
 #pragma once
 
 #include <algorithm>
@@ -57,9 +56,7 @@ class DirectMappedCache {
     return r;
   }
 
-  /// Sets holding a line. A set is empty only until its first fill, so a
-  /// replay's evictions are its misses minus this: a loop that needs only
-  /// counts reads `hit` alone, and the victim test compiles away.
+  /// Sets holding a line (see evictions_after).
   std::uint64_t filled_sets() const {
     return static_cast<std::uint64_t>(
         std::count_if(tags_.begin(), tags_.end(),
@@ -73,6 +70,18 @@ class DirectMappedCache {
   unsigned set_mask_ = 0;            ///< sets - 1
   std::vector<std::uint64_t> tags_;  ///< per set: resident line or kEmpty
 };
+
+/// Evictions of a replay that has counted `misses` on `model` since it was
+/// built. On one way every miss evicts but a set's first fill, so a loop
+/// that needs only counts reads `hit` alone and the victim test compiles
+/// away; Cache counts its evictions itself.
+inline std::uint64_t evictions_after(const DirectMappedCache& model,
+                                     std::uint64_t misses) {
+  return misses - model.filled_sets();
+}
+inline std::uint64_t evictions_after(const Cache& model, std::uint64_t) {
+  return model.evictions();
+}
 
 /// Calls `replay(model)` with the line-granular model for `config` and
 /// returns its result: a DirectMappedCache at one way, a Cache (seeded with

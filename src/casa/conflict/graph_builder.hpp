@@ -6,22 +6,23 @@
 // line determines the conflict edge; fills record the current object as the
 // future evictor of whatever line they displaced.
 //
-// By default the walk is replayed at line granularity through a pre-compiled
-// fetch stream (trace::CompiledStream) — one cache lookup per same-line run
-// of word fetches instead of one per word, with bit-identical counters. The
-// word-granular reference path survives behind BuildOptions for oracle
-// testing and A/B benchmarking.
+// By default the walk is replayed at line granularity by the replay kernel
+// (memsim/replay.hpp) over a pre-compiled fetch stream, on the model
+// cachesim::with_line_model picks (the direct-mapped tag model at one way,
+// Cache otherwise), with conflict::MissAttribution as its per-run step. The
+// word-granular reference survives behind BuildOptions as the oracle.
 //
 // A design-space sweep needs G for many cache geometries over one trace
 // program and layout. build_conflict_graphs reads every LRU member's graph
-// off ONE cachesim::StackSimulator walk: an S-set, A-way LRU set holds the
-// A most recent distinct lines of its recency list, so a member misses on
-// a first touch or at stack distance >= A, and its fill evicts the line at
-// depth A-1 exactly when A lines sit above the accessed one. Each member
-// keeps its own evictor table and m_ij counts and attributes the miss as
-// the single-config replay does; hits follow as fetches minus misses. The
-// graphs are bit-identical to build_conflict_graph's, which stays the
-// oracle (tests/conflict_test.cpp) and serves non-LRU members.
+// off ONE cachesim::StackSimulator walk, fed by the same kernel: an S-set,
+// A-way LRU set holds the A most recent distinct lines of its recency list,
+// so a member misses on a first touch or at stack distance >= A, and its
+// fill evicts the line at depth A-1 exactly when A lines sit above the
+// accessed one. Each member keeps its own evictor table and m_ij counts and
+// attributes the miss as the single-config replay does; hits follow as
+// fetches minus misses. The graphs are bit-identical to
+// build_conflict_graph's, which stays the oracle (tests/conflict_test.cpp)
+// and serves non-LRU members.
 #pragma once
 
 #include <vector>

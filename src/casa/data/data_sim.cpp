@@ -1,7 +1,6 @@
 #include "casa/data/data_sim.hpp"
 
-#include <unordered_map>
-
+#include "casa/conflict/miss_attribution.hpp"
 #include "casa/energy/cache_energy.hpp"
 #include "casa/energy/spm_energy.hpp"
 #include "casa/support/error.hpp"
@@ -22,18 +21,22 @@ DataEnergy DataEnergy::build(const cachesim::CacheConfig& dcache,
 
 namespace {
 
-/// Shared replay engine. The `sink` receives (object, address) per access.
+/// Data layout: objects packed line-aligned from a distinct base. Entry d
+/// is object d's base address; the extra last entry is the image's end.
+std::vector<Addr> data_bases(const DataSpec& spec) {
+  std::vector<Addr> base{0x40000000};
+  for (const DataObject& obj : spec.objects()) {
+    base.push_back(base.back() + align_up(obj.size, 16));
+  }
+  return base;
+}
+
+/// The data-stream generator. The `sink` receives (object, address) per
+/// access.
 template <typename Sink>
 void replay(const prog::Program& program, const trace::BlockWalk& walk,
             const DataSpec& spec, Sink&& sink) {
-  // Data layout: objects packed line-aligned from a distinct base.
-  constexpr Addr kDataBase = 0x40000000;
-  std::vector<Addr> base(spec.objects().size());
-  Addr cursor = kDataBase;
-  for (std::size_t d = 0; d < spec.objects().size(); ++d) {
-    base[d] = cursor;
-    cursor += align_up(spec.objects()[d].size, 16);
-  }
+  const std::vector<Addr> base = data_bases(spec);
 
   // Per-function binding lists for O(1) dispatch in the hot loop.
   std::vector<std::vector<std::size_t>> by_fn(program.function_count());
@@ -79,47 +82,24 @@ DataProfile profile_data(const prog::Program& program,
                          std::uint64_t seed) {
   const std::size_t n = spec.objects().size();
   cachesim::Cache cache(dcache, seed);
-
-  std::vector<std::uint64_t> accesses(n, 0), cold(n, 0), hits(n, 0);
-  std::unordered_map<std::uint64_t, std::uint64_t> m;  // (i<<32|j) -> misses
-  std::unordered_map<std::uint64_t, std::uint32_t> evicted_by;
+  const std::vector<Addr> base = data_bases(spec);
+  const Bytes line = dcache.line_size;
+  conflict::MissAttribution st(n, base.front() / line,
+                               (base.back() + line - 1) / line);
   std::uint64_t total = 0;
 
   replay(program, walk, spec, [&](std::size_t obj, Addr addr) {
-    ++accesses[obj];
+    ++st.fetches[obj];
     ++total;
     const cachesim::AccessResult r = cache.access(addr);
-    if (r.hit) {
-      ++hits[obj];
-      return;
-    }
-    const std::uint64_t line = cache.line_of(addr);
-    auto ev = evicted_by.find(line);
-    if (ev == evicted_by.end()) {
-      ++cold[obj];
-    } else {
-      ++m[(static_cast<std::uint64_t>(obj) << 32) | ev->second];
-      evicted_by.erase(ev);
-    }
-    if (r.evicted_line.has_value()) {
-      evicted_by[*r.evicted_line] = static_cast<std::uint32_t>(obj);
+    if (!r.hit) {
+      st.on_miss(MemoryObjectId(static_cast<std::uint32_t>(obj)),
+                 cache.line_of(addr), r.evicted_line);
     }
   });
 
-  std::vector<conflict::Edge> edges;
-  edges.reserve(m.size());
-  for (const auto& [key, misses] : m) {
-    edges.push_back(conflict::Edge{
-        MemoryObjectId(static_cast<std::uint32_t>(key >> 32)),
-        MemoryObjectId(static_cast<std::uint32_t>(key)), misses});
-  }
-  std::vector<std::uint64_t> per_object = accesses;
-  DataProfile profile{
-      std::move(per_object),
-      conflict::ConflictGraph(n, std::move(accesses), std::move(cold),
-                              std::move(hits), std::move(edges)),
-      total};
-  return profile;
+  std::vector<std::uint64_t> accesses = st.fetches;
+  return DataProfile{std::move(accesses), st.finish(), total};
 }
 
 DataSimReport simulate_data(const prog::Program& program,

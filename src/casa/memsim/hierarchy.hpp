@@ -6,6 +6,9 @@
 //  * scratchpad + I-cache (fig. 1a)     — simulate_spm_system
 //  * preloaded loop cache + I-cache (1b) — simulate_loopcache_system
 //  * I-cache only (reference)            — simulate_cache_only
+// Each runs the replay kernel (memsim/replay.hpp) on the line model
+// cachesim::with_line_model picks: the direct-mapped tag model at one way,
+// Cache otherwise. Energies and cycles derive from the counters.
 #pragma once
 
 #include <vector>
@@ -13,6 +16,7 @@
 #include "casa/cachesim/cache.hpp"
 #include "casa/energy/energy_table.hpp"
 #include "casa/loopcache/loop_cache.hpp"
+#include "casa/memsim/replay.hpp"
 #include "casa/obs/metrics.hpp"
 #include "casa/trace/executor.hpp"
 #include "casa/traceopt/layout.hpp"
@@ -56,13 +60,10 @@ struct SimReport {
 struct SimOptions {
   std::uint64_t seed = 1;  ///< for random cache replacement only
   LatencyParams latency;
-  /// Replay the walk at line granularity via a pre-compiled fetch stream
-  /// (trace::CompiledStream) — ~line_size/4 fewer cache calls, identical
-  /// counters and (counter-derived) energies. Loop-cache simulation uses it
-  /// too: preloaded regions bound by loop/function extents need not align
-  /// to cache lines, so each same-line run is split at region edges once
-  /// per simulation (words inside a region count as loop-cache accesses,
-  /// the rest reach the cache as shorter same-line runs). False selects the
+  /// Replay the walk at line granularity through the replay kernel over a
+  /// pre-compiled fetch stream (trace::CompiledStream) — ~line_size/4 fewer
+  /// cache calls, identical counters and energies; loop-cache runs are cut
+  /// at region edges once per simulation (RegionSplit). False selects the
   /// word-granular reference replay, kept as the oracle for tests.
   bool use_compiled_stream = true;
   /// When set, the final counters (sim.* / cache.* / stream.* — see
@@ -103,37 +104,23 @@ SimReport simulate_cache_only(const traceopt::TraceProgram& tp,
                               const energy::EnergyTable& energies,
                               const SimOptions& opt = {});
 
-/// What a line-granular replay counts: the word fetches each tier served,
-/// and the cache's misses (one per missing same-line run) and evictions.
-struct ReplayTally {
-  std::uint64_t spm_words = 0;
-  std::uint64_t lc_words = 0;
-  std::uint64_t cache_words = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-};
-
 /// The counters a line-granular replay reports for `tally`: hits are the
 /// cache words that did not miss, every missing word transfers one line,
 /// and cycles charge each word its tier's latency plus each miss its line
-/// fill. The compiled-stream simulations above and the one-pass sweep
-/// engine (Workbench::evaluate_batch, which reads misses and evictions off
-/// a stack pass) both derive their counters here.
+/// fill. Every kernel replay derives its counters here, as does the batch
+/// engine's stack pass (misses and evictions per member).
 SimCounters counters_from_tally(const ReplayTally& tally, Bytes line_size,
                                 const LatencyParams& lat);
 
-/// Derives the full report (energies) from externally produced counters —
-/// the exact computation the simulators above apply to their own counters,
-/// so counter-identical inputs yield bit-identical reports. Used by the
-/// one-pass sweep engine (Workbench::evaluate_batch), which produces
-/// counters for many configurations from a single stack pass.
+/// The full report (energies) of `counters`: the one computation every
+/// simulator, overlay simulation and the batch engine's stack pass apply,
+/// so counter-identical inputs yield bit-identical reports.
 SimReport report_from_counters(const SimCounters& counters,
                                const energy::EnergyTable& energies,
                                bool loop_cache);
 
-/// Records `counters` into `reg` under the same sim.* / cache.* keys the
-/// simulators use (null registry = no-op). Lets externally derived counters
-/// keep per-job telemetry identical to a direct simulation.
+/// Records `counters` into `reg` under the sim.* / cache.* keys (null
+/// registry = no-op), for the simulators and externally derived counters.
 void record_sim_counters(obs::MetricsRegistry* reg,
                          const SimCounters& counters);
 

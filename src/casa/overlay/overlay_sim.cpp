@@ -1,5 +1,9 @@
 #include "casa/overlay/overlay_sim.hpp"
 
+#include <span>
+
+#include "casa/cachesim/direct_mapped.hpp"
+#include "casa/memsim/replay.hpp"
 #include "casa/support/error.hpp"
 
 namespace casa::overlay {
@@ -16,71 +20,57 @@ OverlaySimReport simulate_overlay(
     CASA_CHECK(r.size() == tp.object_count(), "residency size mismatch");
   }
   CASA_CHECK(energies.spm_access > 0, "energy table lacks an SPM entry");
+  std::size_t covered = 0;  // the phases must partition this walk in order
+  for (const Phase& phase : profile.phases()) {
+    CASA_CHECK(phase.begin == covered && phase.end >= phase.begin,
+               "profile phases do not partition the walk");
+    covered = phase.end;
+  }
+  CASA_CHECK(covered == walk.seq.size(),
+             "profile phases do not cover the walk");
 
-  const prog::Program& program = tp.program();
-  cachesim::Cache cache(cache_cfg, opt.seed);
-  const std::uint64_t line_words = cache_cfg.line_size / kWordBytes;
   const memsim::LatencyParams& lat = opt.latency;
   const Energy copy_word_energy =
       energies.mainmem_word + energies.spm_access;
+  const trace::CompiledStream stream =
+      traceopt::compile_fetch_stream(tp, layout, cache_cfg.line_size);
 
   OverlaySimReport rep;
-  memsim::SimCounters& c = rep.sim.counters;
-
-  std::size_t phase_idx = static_cast<std::size_t>(-1);
-  for (std::size_t w = 0; w < walk.seq.size(); ++w) {
-    // Phase entry: swap residency, pay the copies.
-    while (phase_idx == static_cast<std::size_t>(-1) ||
-           (phase_idx + 1 < profile.phase_count() &&
-            w >= profile.phases()[phase_idx].end)) {
-      ++phase_idx;
+  memsim::ReplayTally t;
+  std::uint64_t copy_cycles = 0;
+  cachesim::with_line_model(cache_cfg, opt.seed, [&](auto& cache) {
+    // One kernel call per phase on one model: the cache state flows across
+    // phase boundaries, only the scratchpad residency switches.
+    for (std::size_t p = 0; p < profile.phase_count(); ++p) {
+      // Phase entry: swap residency, pay the copies.
       for (std::size_t i = 0; i < tp.object_count(); ++i) {
-        const bool now = residency[phase_idx][i];
-        const bool before = phase_idx > 0 && residency[phase_idx - 1][i];
+        const bool now = residency[p][i];
+        const bool before = p > 0 && residency[p - 1][i];
         if (now && !before) {
           const std::uint64_t words = tp.objects()[i].raw_size / kWordBytes;
           ++rep.copies;
           rep.copy_words += words;
           rep.copy_energy += static_cast<double>(words) * copy_word_energy;
-          c.cycles += lat.miss_base_penalty +
-                      words * (lat.miss_per_word + lat.spm_access);
+          copy_cycles += lat.miss_base_penalty +
+                         words * (lat.miss_per_word + lat.spm_access);
         }
       }
+      const Phase& phase = profile.phases()[p];
+      const std::span<const BasicBlockId> blocks(
+          walk.seq.data() + phase.begin, phase.end - phase.begin);
+      memsim::replay(cache,
+                     memsim::Route{.tp = &tp, .stream = &stream,
+                                   .spm = &residency[p]},
+                     blocks, t, memsim::CountMisses{});
     }
+    t.cache_evictions = cachesim::evictions_after(cache, t.cache_misses);
+  });
 
-    const BasicBlockId bb = walk.seq[w];
-    const MemoryObjectId mo = tp.object_of(bb);
-    const Bytes size = program.block(bb).size;
-    const std::uint64_t words = size / kWordBytes;
-
-    if (residency[phase_idx][mo.index()]) {
-      c.total_fetches += words;
-      c.spm_accesses += words;
-      c.cycles += words * lat.spm_access;
-      rep.sim.spm_energy += static_cast<double>(words) * energies.spm_access;
-      continue;
-    }
-
-    const Addr base = layout.block_addr(bb);
-    for (std::uint64_t k = 0; k < words; ++k) {
-      ++c.total_fetches;
-      const cachesim::AccessResult r = cache.access(base + k * kWordBytes);
-      ++c.cache_accesses;
-      if (r.hit) {
-        ++c.cache_hits;
-        c.cycles += lat.cache_hit;
-        rep.sim.cache_energy += energies.cache_hit;
-      } else {
-        ++c.cache_misses;
-        c.mainmem_words += line_words;
-        c.cycles += lat.cache_hit + lat.miss_base_penalty +
-                    line_words * lat.miss_per_word;
-        rep.sim.cache_energy += energies.cache_miss;
-      }
-    }
-  }
-
-  rep.sim.total_energy = rep.sim.spm_energy + rep.sim.cache_energy;
+  memsim::SimCounters c =
+      memsim::counters_from_tally(t, cache_cfg.line_size, lat);
+  c.cycles += copy_cycles;
+  rep.sim = memsim::report_from_counters(c, energies, /*loop_cache=*/false);
+  memsim::record_sim_counters(opt.metrics, c);
   return rep;
 }
 

@@ -2,12 +2,36 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
+#include <span>
+#include <utility>
 
-#include "casa/cachesim/cache.hpp"
+#include "casa/cachesim/direct_mapped.hpp"
+#include "casa/conflict/miss_attribution.hpp"
+#include "casa/memsim/replay.hpp"
 #include "casa/support/error.hpp"
 
 namespace casa::overlay {
+
+namespace {
+
+/// One phase's directed m_ij merged into undirected pairs a < b, in (a, b)
+/// order; self-conflicts have no overlay edge.
+std::vector<PhaseEdge> merged_pairs(const std::vector<conflict::Edge>& edges) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> merged;
+  for (const conflict::Edge& e : edges) {
+    const std::uint32_t i = e.from.value();
+    const std::uint32_t j = e.to.value();
+    if (i != j) merged[{std::min(i, j), std::max(i, j)}] += e.misses;
+  }
+  std::vector<PhaseEdge> out;
+  out.reserve(merged.size());
+  for (const auto& [key, misses] : merged) {
+    out.push_back(PhaseEdge{key.first, key.second, misses});
+  }
+  return out;
+}
+
+}  // namespace
 
 std::uint64_t PhaseProfile::total_fetches(std::size_t i) const {
   std::uint64_t total = 0;
@@ -22,60 +46,31 @@ PhaseProfile build_phase_profile(const traceopt::TraceProgram& tp,
   CASA_CHECK(opt.phase_count >= 1, "need at least one phase");
   CASA_CHECK(!walk.seq.empty(), "empty walk");
 
-  const prog::Program& program = tp.program();
   const std::size_t n = tp.object_count();
   const std::size_t pcount = opt.phase_count;
-  cachesim::Cache cache(opt.cache, opt.seed);
+  const trace::CompiledStream stream =
+      traceopt::compile_fetch_stream(tp, layout, opt.cache.line_size);
+  const auto [first_line, end_line] = stream.line_span();
+  // One evictor table for the whole walk; each phase takes its own m_ij.
+  conflict::MissAttribution misses(n, first_line, end_line);
 
   std::vector<Phase> phases(pcount);
-  for (std::size_t p = 0; p < pcount; ++p) {
-    phases[p].begin = walk.seq.size() * p / pcount;
-    phases[p].end = walk.seq.size() * (p + 1) / pcount;
-    phases[p].fetches.assign(n, 0);
-  }
-
-  std::unordered_map<std::uint64_t, MemoryObjectId> evicted_by;
-  // Per phase: merged pair -> misses.
-  std::vector<std::map<std::pair<std::uint32_t, std::uint32_t>,
-                       std::uint64_t>>
-      pair_misses(pcount);
-
-  std::size_t phase_idx = 0;
-  for (std::size_t w = 0; w < walk.seq.size(); ++w) {
-    while (w >= phases[phase_idx].end) ++phase_idx;
-    Phase& phase = phases[phase_idx];
-
-    const BasicBlockId bb = walk.seq[w];
-    const MemoryObjectId mo = tp.object_of(bb);
-    const Addr base = layout.block_addr(bb);
-    const Bytes size = program.block(bb).size;
-    for (Bytes off = 0; off < size; off += kWordBytes) {
-      const Addr addr = base + off;
-      ++phase.fetches[mo.index()];
-      const cachesim::AccessResult r = cache.access(addr);
-      if (r.hit) continue;
-      const std::uint64_t line = cache.line_of(addr);
-      auto ev = evicted_by.find(line);
-      if (ev != evicted_by.end()) {
-        const std::uint32_t i = mo.value();
-        const std::uint32_t j = ev->second.value();
-        if (i != j) {
-          ++pair_misses[phase_idx][{std::min(i, j), std::max(i, j)}];
-        }
-        evicted_by.erase(ev);
-      }
-      if (r.evicted_line.has_value()) {
-        evicted_by[*r.evicted_line] = mo;
-      }
+  memsim::ReplayTally t;
+  cachesim::with_line_model(opt.cache, opt.seed, [&](auto& cache) {
+    for (std::size_t p = 0; p < pcount; ++p) {
+      Phase& phase = phases[p];
+      phase.begin = walk.seq.size() * p / pcount;
+      phase.end = walk.seq.size() * (p + 1) / pcount;
+      phase.fetches.assign(n, 0);
+      const std::span<const BasicBlockId> blocks(
+          walk.seq.data() + phase.begin, phase.end - phase.begin);
+      memsim::replay(cache,
+                     memsim::Route{.tp = &tp, .stream = &stream,
+                                   .object_words = phase.fetches},
+                     blocks, t, misses);
+      phase.edges = merged_pairs(misses.take_edges());
     }
-  }
-
-  for (std::size_t p = 0; p < pcount; ++p) {
-    phases[p].edges.reserve(pair_misses[p].size());
-    for (const auto& [key, misses] : pair_misses[p]) {
-      phases[p].edges.push_back(PhaseEdge{key.first, key.second, misses});
-    }
-  }
+  });
   return PhaseProfile(std::move(phases), n);
 }
 

@@ -504,27 +504,23 @@ std::vector<JobResult> Workbench::evaluate_batch(
         traceopt::compile_fetch_stream(*rep.tp, *rep.layout, line_size);
     cachesim::ConfigFamily family;
     family.line_size = line_size;
-    family.policy = cachesim::ReplacementPolicy::kLru;
     for (const std::size_t u : grp) {
       family.configs.push_back(prepared[u].pj.job.cache);
     }
     cachesim::StackSimulator sim(family);
+    memsim::ReplayTally t;
+    memsim::replay(sim,
+                   memsim::Route{.tp = rep.tp.get(), .stream = &stream,
+                                 .spm = &rep.on_spm},
+                   walk.seq, t,
+                   [](cachesim::StackSimulator& s, MemoryObjectId,
+                      const trace::LineRun& run) {
+                     s.access_line(run.addr, run.words);
+                     return false;  // misses are read off per member
+                   });
 
     StackPass out;
-    std::uint64_t spm_words = 0;
-    for (const BasicBlockId bb : walk.seq) {
-      const MemoryObjectId mo = rep.tp->object_of(bb);
-      if (!rep.on_spm.empty() && rep.on_spm[mo.index()]) {
-        spm_words += stream.words_of(bb);
-        continue;
-      }
-      CASA_CHECK(stream.cached(bb),
-                 "cached block missing from the compiled layout");
-      out.replayed_runs += stream.runs(bb).size();
-      for (const trace::LineRun& run : stream.runs(bb)) {
-        sim.access_line(run.addr, run.words);
-      }
-    }
+    out.replayed_runs = t.cache_runs;
     out.compiled_runs = stream.total_runs();
     // Each member's counters as a direct line-granular replay would have
     // derived them from its slice of the pass (finish_job's latencies).
@@ -532,7 +528,7 @@ std::vector<JobResult> Workbench::evaluate_batch(
     for (const std::size_t u : grp) {
       const cachesim::StackCounters sc = sim.counters(prepared[u].pj.job.cache);
       out.counters.push_back(memsim::counters_from_tally(
-          {.spm_words = spm_words,
+          {.spm_words = t.spm_words,
            .cache_words = sc.accesses(),
            .cache_misses = sc.misses,
            .cache_evictions = sc.evictions},

@@ -1,5 +1,7 @@
 #include "casa/trace/compiled_stream.hpp"
 
+#include <algorithm>
+
 #include "casa/support/error.hpp"
 
 namespace casa::trace {
@@ -37,6 +39,16 @@ CompiledStream::CompiledStream(const prog::Program& program,
     }
     br.count = static_cast<std::uint32_t>(runs_.size()) - br.first;
   }
+}
+
+std::pair<std::uint64_t, std::uint64_t> CompiledStream::line_span() const {
+  std::uint64_t first = ~std::uint64_t{0};
+  std::uint64_t end = 0;
+  for (const LineRun& run : runs_) {
+    first = std::min(first, run.line);
+    end = std::max(end, run.line + 1);
+  }
+  return {std::min(first, end), end};
 }
 
 }  // namespace casa::trace

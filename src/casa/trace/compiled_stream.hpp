@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "casa/prog/program.hpp"
@@ -66,6 +67,10 @@ class CompiledStream {
 
   /// Total line runs across all compiled blocks (static, not dynamic).
   std::size_t total_runs() const { return runs_.size(); }
+
+  /// [first, end) of the line numbers the runs touch; {0, 0} without runs.
+  /// Per-line tables of a replay (an evictor table) fit this range.
+  std::pair<std::uint64_t, std::uint64_t> line_span() const;
 
  private:
   struct BlockRuns {
