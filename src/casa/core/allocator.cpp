@@ -1,5 +1,6 @@
 #include "casa/core/allocator.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "casa/baseline/steinke.hpp"
@@ -12,11 +13,11 @@ namespace casa::core {
 
 namespace {
 
-/// Node budget of the specialized pre-solve whose mask becomes the generic
-/// engine's objective cutoff. Every bundled Table 1 instance the generic
-/// engine solves is proven optimal within 1,905 nodes (jpeg@1024); a run
-/// that exhausts the budget still returns a feasible mask, just a looser
-/// cutoff.
+/// Node budget of the specialized enumeration whose best mask becomes the
+/// generic engine's objective cutoff and whose near-optimal set prunes its
+/// boxes. Every bundled Table 1 instance the generic engine solves is
+/// enumerated within 1,933 nodes (jpeg@1024); a run that exhausts the
+/// budget still returns a feasible mask, just a looser cutoff, and no set.
 constexpr std::uint64_t kCutoffNodeBudget = 1u << 14;
 
 }  // namespace
@@ -72,14 +73,29 @@ AllocationResult CasaAllocator::allocate(const CasaProblem& p) const {
         // sound incumbent before node 1.
         bopt.warm_hint = warm_assignment(
             cm, sp, baseline::knapsack_seed(sp.weight, sp.value, sp.capacity));
-        // The specialized engine's best mask bounds the search. The cutoff
-        // only prunes nodes that cannot reach it, so the generic engine
-        // still chooses among tied optima exactly as an uncut search does
-        // (docs/solver.md, "Objective cutoff").
+        // The specialized engine's best mask bounds the search, and every
+        // mask near it lists the boxes the search still has to walk. Both
+        // only prune nodes that hold no incumbent the cutoff lets through,
+        // so the generic engine still chooses among tied optima exactly as
+        // an uncut search does (docs/solver.md, "Objective cutoff" and
+        // "Near-optimal set").
         CasaBranchBoundOptions cut;
         cut.max_nodes = kCutoffNodeBudget;
-        bopt.cutoff_point =
-            warm_assignment(cm, sp, CasaBranchBound(cut).solve(sp).chosen);
+        const CasaBranchBoundResult near =
+            CasaBranchBound(cut).enumerate(sp, near_optimal_window(sp));
+        bopt.cutoff_point = warm_assignment(cm, sp, near.chosen);
+        // The set leaves every zero-fetch item cached, where presolve
+        // fixes it. Without presolve the search may place one at no cost,
+        // off the set, so the cutoff then goes alone.
+        const bool free_zero_items =
+            !opt_.ilp_presolve &&
+            std::any_of(sp.value.begin(), sp.value.end(),
+                        [](Energy v) { return v <= 0; });
+        if (near.exact && !free_zero_items) {
+          for (const std::vector<bool>& mask : near.near_optimal) {
+            bopt.near_optimal_set.push_back(warm_assignment(cm, sp, mask));
+          }
+        }
       }
       // Location variables decide the allocation; the linearization
       // variables L are implied once the l are fixed — branch l first.

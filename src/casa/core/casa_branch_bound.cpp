@@ -34,10 +34,20 @@ namespace {
 /// fractional knapsack over the candidates at
 /// lambda_k = v_k + sum over k's uncovered edges of mu'_e.
 /// mu = w gives the cur_opt knapsack above; the best mu gives the LP bound.
+///
+/// run<true>() is the enumeration mode (docs/solver.md, "Near-optimal
+/// set"): both bounds prune only below the floor, incumbent - window, and
+/// the included set is recorded at the root and at every include child
+/// that may lie above it. Each include adds an item of positive marginal
+/// saving, and no subtree that holds a mask above the floor is cut, so
+/// every mask whose chosen items each add a positive saving is reached.
+/// run<false>() is solve()'s search; the mode is a template parameter so
+/// that its node loop carries no test of it.
 class Search {
  public:
-  Search(const SavingsProblem& sp, const CasaBranchBoundOptions& opt)
-      : sp_(sp), opt_(opt) {
+  Search(const SavingsProblem& sp, const CasaBranchBoundOptions& opt,
+         Energy window = 0)
+      : sp_(sp), opt_(opt), window_(window) {
     const std::size_t n = sp.item_count();
     incident_.resize(n);
     cur_opt_.assign(sp.value.begin(), sp.value.end());
@@ -140,8 +150,10 @@ class Search {
     }
   }
 
+  template <bool kEnumerate>
   CasaBranchBoundResult run() {
-    dfs(0);
+    if constexpr (kEnumerate) record();  // the root's included set
+    dfs<kEnumerate>(0);
     if (tracer_ != nullptr) {
       tracer_->instant(obs::trace_names::kIlpPrunes,
                        static_cast<double>(stats_.bound_prunes),
@@ -155,6 +167,15 @@ class Search {
     r.stats = stats_;
     r.stats.nodes = nodes_;
     r.lagrangian_prunes = lagrangian_prunes_;
+    if constexpr (kEnumerate) {
+      // The exact test: the search kept every mask that might pass it.
+      const Energy floor = r.saving - window_;
+      for (std::vector<bool>& mask : near_) {
+        if (sp_.saving_for(mask) >= floor) {
+          r.near_optimal.push_back(std::move(mask));
+        }
+      }
+    }
     return r;
   }
 
@@ -341,8 +362,22 @@ class Search {
   /// Rounding margin of the L prune (nJ). 1e-9 |L| covers ~10^7
   /// roundings of 2^-53 |L|, six orders of magnitude above the drift
   /// measured between updated and rebuilt lambdas; 1e-6 covers L near zero
-  /// (docs/solver.md, "The margin").
+  /// (docs/solver.md, "The margin"). The enumeration mode keeps the same
+  /// margin on its knapsack-bound prune and its record test.
   static Energy lag_margin(Energy L) { return 1e-9 * std::abs(L) + 1e-6; }
+
+  /// Enumeration: masks below this saving are outside the window.
+  Energy floor() const { return best_saving_ - window_; }
+
+  /// Enumeration: keeps the included set when it may lie within the
+  /// window; run() applies the exact test once the incumbent is final.
+  void record() {
+    if (cur_saving_ + lag_margin(cur_saving_) < floor()) return;
+    std::vector<bool>& mask = near_.emplace_back(state_.size(), false);
+    for (std::size_t k = 0; k < state_.size(); ++k) {
+      mask[k] = state_[k] == kIncluded;
+    }
+  }
 
   /// One multiplier per edge, and the edges below their weight (the only
   /// ones a negative subgradient can move).
@@ -406,8 +441,10 @@ class Search {
   /// values, in density order (ties by index). Records each taken fraction
   /// in lag_x_ (and the item in lag_taken_) for the subgradient. Few
   /// candidates fit, so a heap hands them out in order without sorting the
-  /// rest.
-  Energy lag_knapsack(Bytes cap, const std::vector<Energy>& lam) {
+  /// rest. Inlined by force: with both search modes in this file, GCC
+  /// otherwise stops inlining it into solve()'s node loop.
+  [[gnu::always_inline]] Energy lag_knapsack(Bytes cap,
+                                             const std::vector<Energy>& lam) {
     const auto after = [](const Candidate& a, const Candidate& b) {
       if (a.density != b.density) return a.density < b.density;
       return a.item > b.item;
@@ -515,7 +552,9 @@ class Search {
 
   /// The second prune test, run where bound() failed. Prunes only when L
   /// cannot beat the incumbent itself (no eps): the subtree then holds no
-  /// strict improvement, so the incumbent sequence stays bound()'s.
+  /// strict improvement, so the incumbent sequence stays bound()'s. In
+  /// the enumeration mode it prunes only when L falls below the floor.
+  template <bool kEnumerate>
   bool lag_prunes() {
     if (!lag_on_) {
       if (nodes_ < lag_resume_at_) return false;
@@ -530,12 +569,14 @@ class Search {
     // The candidates are the items dfs() collected for bound().
     for (const Candidate& c : scratch_) lag_offer(c.item, lam_);
     const Energy L = cur_saving_ + lag_open_ + lag_knapsack(cap_left_, lam_);
-    const bool prune = L + lag_margin(L) <= best_saving_;
+    const Energy target = kEnumerate ? floor() : best_saving_;
+    const bool prune = kEnumerate ? L + lag_margin(L) < target
+                                  : L + lag_margin(L) <= target;
     if (prune) {
       lag_untake();
       ++lag_window_prunes_;
     } else {
-      lag_step(L, best_saving_, kLagTheta, state_, mult_, lam_, lag_open_);
+      lag_step(L, target, kLagTheta, state_, mult_, lam_, lag_open_);
     }
     if (++lag_window_evals_ == kLagWindow) {
       if (lag_window_prunes_ < kLagWindowMinPrunes) {
@@ -554,6 +595,7 @@ class Search {
     return prune;
   }
 
+  template <bool kEnumerate>
   void dfs(std::uint64_t depth) {
     if (aborted_) return;
     if (++nodes_ > opt_.max_nodes) {
@@ -600,11 +642,17 @@ class Search {
       }
     }
     if (pick < 0) return;  // nothing can be added
-    if (bound() <= best_saving_ + opt_.eps) {
+    if constexpr (kEnumerate) {
+      const Energy b = bound();
+      if (b + lag_margin(b) < floor()) {
+        ++stats_.bound_prunes;
+        return;
+      }
+    } else if (bound() <= best_saving_ + opt_.eps) {
       ++stats_.bound_prunes;
       return;
     }
-    if (lag_prunes()) {
+    if (lag_prunes<kEnumerate>()) {
       ++stats_.bound_prunes;
       ++lagrangian_prunes_;
       return;
@@ -612,11 +660,12 @@ class Search {
 
     const auto k = static_cast<std::size_t>(pick);
     include(k);
-    dfs(depth + 1);
+    if constexpr (kEnumerate) record();
+    dfs<kEnumerate>(depth + 1);
     undo_include(k);
 
     exclude(k);
-    dfs(depth + 1);
+    dfs<kEnumerate>(depth + 1);
     undo_exclude(k);
   }
 
@@ -668,13 +717,24 @@ class Search {
   std::vector<Gradient> lag_grad_;
 
   obs::Tracer* tracer_ = nullptr;
+
+  // Enumeration mode only.
+  const Energy window_;
+  std::vector<std::vector<bool>> near_;
 };
 
 }  // namespace
 
 CasaBranchBoundResult CasaBranchBound::solve(const SavingsProblem& sp) const {
   Search search(sp, opt_);
-  return search.run();
+  return search.run<false>();
+}
+
+CasaBranchBoundResult CasaBranchBound::enumerate(const SavingsProblem& sp,
+                                                 Energy window) const {
+  CASA_CHECK(window >= 0, "near-optimal window must be non-negative");
+  Search search(sp, opt_, window);
+  return search.run<true>();
 }
 
 }  // namespace casa::core

@@ -9,6 +9,11 @@
 // hundred nodes, a Lagrangian bound of LP strength prunes where that one
 // fails (docs/solver.md, "Lagrangian bound").
 //
+// enumerate() runs the same search in a second mode that lists every mask
+// within a window of the optimum; the allocator hands that near-optimal set
+// to the generic engine, which then walks only the paths that lead to it
+// (docs/solver.md, "Near-optimal set").
+//
 // The generic ilp::BranchAndBound solves the same instances through the
 // paper's LP formulation; this solver exists because it is orders of
 // magnitude faster on the larger benchmarks (mpeg) while provably returning
@@ -38,6 +43,9 @@ struct CasaBranchBoundResult {
   ilp::SolveStats stats;
   /// Prunes made by the Lagrangian bound where the knapsack bound failed.
   std::uint64_t lagrangian_prunes = 0;
+  /// enumerate() only: the near-optimal masks (per presolved item), in the
+  /// order the search reached them.
+  std::vector<std::vector<bool>> near_optimal;
 };
 
 class CasaBranchBound {
@@ -47,6 +55,17 @@ class CasaBranchBound {
   explicit CasaBranchBound(Options opt = {}) : opt_(opt) {}
 
   [[nodiscard]] CasaBranchBoundResult solve(const SavingsProblem& sp) const;
+
+  /// solve()'s search in enumeration mode: it prunes only subtrees that
+  /// cannot hold a mask within `window` of the incumbent, and returns in
+  /// `near_optimal` every mask M with saving_for(M) >= saving - window in
+  /// which each chosen item adds a positive saving to the rest of M (for a
+  /// presolved CASA problem: every such mask that leaves the zero-fetch
+  /// items cached). The list is complete only when `exact`; a search that
+  /// exhausts max_nodes returns what it reached. `chosen` is the best mask
+  /// found, which may differ from solve()'s among near-ties.
+  [[nodiscard]] CasaBranchBoundResult enumerate(const SavingsProblem& sp,
+                                                Energy window) const;
 
  private:
   Options opt_;

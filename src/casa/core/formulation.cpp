@@ -1,5 +1,6 @@
 #include "casa/core/formulation.hpp"
 
+#include <cmath>
 #include <string>
 
 #include "casa/support/error.hpp"
@@ -97,6 +98,13 @@ std::vector<double> warm_assignment(const CasaModel& cm,
         x[cm.l_vars[e.a].index()] * x[cm.l_vars[e.b].index()];
   }
   return x;
+}
+
+Energy near_optimal_window(const SavingsProblem& sp) {
+  Energy total = 0;
+  for (const Energy v : sp.value) total += std::abs(v);
+  for (const SavingsProblem::Edge& e : sp.edges) total += std::abs(e.weight);
+  return 2e-7 * (1 + total);
 }
 
 std::vector<bool> choice_from_solution(const CasaModel& cm,

@@ -42,4 +42,13 @@ std::vector<double> warm_assignment(const CasaModel& cm,
                                     const SavingsProblem& sp,
                                     const std::vector<bool>& chosen);
 
+/// The window of the near-optimal set that goes with a lifted cutoff
+/// (CasaBranchBound::enumerate, ilp::BranchAndBoundOptions::
+/// near_optimal_set): 2e-7 (1 + sum of |value| and |edge weight|). The
+/// generic search accepts an incumbent only below the cutoff's objective
+/// plus a slack of 1e-7 (1 + |objective|), and every objective of either
+/// linearization lies within that sum, so twice the slack covers it with
+/// room for the rounding of both engines' sums.
+Energy near_optimal_window(const SavingsProblem& sp);
+
 }  // namespace casa::core

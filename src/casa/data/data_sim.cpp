@@ -116,18 +116,19 @@ DataSimReport simulate_data(const prog::Program& program,
     ++rep.total_accesses;
     if (on_spm[obj]) {
       ++rep.spm_accesses;
-      rep.total_energy += energy.spm_access;
       return;
     }
-    const cachesim::AccessResult r = cache.access(addr);
-    if (r.hit) {
+    if (cache.access(addr).hit) {
       ++rep.dcache_hits;
-      rep.total_energy += energy.dcache_hit;
     } else {
       ++rep.dcache_misses;
-      rep.total_energy += energy.dcache_miss;
     }
   });
+  // From the counters, in memsim::report_from_counters' form.
+  rep.total_energy =
+      static_cast<double>(rep.spm_accesses) * energy.spm_access +
+      (static_cast<double>(rep.dcache_hits) * energy.dcache_hit +
+       static_cast<double>(rep.dcache_misses) * energy.dcache_miss);
   return rep;
 }
 

@@ -86,6 +86,29 @@ std::vector<double> rounded_binaries(const Model& m, std::vector<double> x) {
   return x;
 }
 
+/// The binary parts of the caller's near-optimal points, for the box test
+/// that prunes a node none of them lies in. Empty: no test.
+struct NearOptimalBoxes {
+  std::vector<std::size_t> binaries;  ///< the model's binary columns
+  std::vector<double> values;  ///< rounded binaries, point after point
+
+  bool empty() const { return values.empty(); }
+
+  /// True when every binary of some point lies within the node's bounds.
+  bool hold_a_point(const Node& node) const {
+    const std::size_t n = binaries.size();
+    for (std::size_t at = 0; at < values.size(); at += n) {
+      std::size_t i = 0;
+      while (i < n && values[at + i] >= node.lower[binaries[i]] &&
+             values[at + i] <= node.upper[binaries[i]]) {
+        ++i;
+      }
+      if (i == n) return true;
+    }
+    return false;
+  }
+};
+
 struct SubtreeResult {
   Solution best;  ///< best.values empty when the subtree found no incumbent
   double best_key = kInfinity;
@@ -95,12 +118,13 @@ struct SubtreeResult {
 };
 
 /// Serial DFS over one bound box — the classic node loop, parameterized by
-/// the pruning key it starts from (warm start) and the caller's cutoff key,
+/// the pruning key it starts from (warm start), the caller's cutoff key,
 /// which joins the prune test but never becomes the incumbent (kInfinity =
-/// no cutoff).
+/// no cutoff), and the near-optimal points a node's box must hold.
 SubtreeResult explore_subtree(const Model& m, const BranchAndBoundOptions& opt,
                               Node root, std::uint64_t node_budget,
-                              double seed_key, double cutoff_key) {
+                              double seed_key, double cutoff_key,
+                              const NearOptimalBoxes& near) {
   const bool maximize = m.sense() == Sense::kMaximize;
   obs::Tracer* const tracer = obs::Tracer::current();
   const SimplexSolver lp(opt.lp);
@@ -135,6 +159,11 @@ SubtreeResult explore_subtree(const Model& m, const BranchAndBoundOptions& opt,
     stack.pop_back();
     if (node.depth > out.stats.max_depth) {
       out.stats.max_depth = node.depth;
+    }
+    if (!near.empty() && !near.hold_a_point(node)) {
+      // No incumbent the cutoff lets through lies in this box.
+      ++out.stats.bound_prunes;
+      continue;
     }
 
     Solution relax = lp.solve_relaxation(m, node.lower, node.upper);
@@ -409,6 +438,28 @@ Solution BranchAndBound::solve(const Model& m) const {
     cutoff_key = key + key_slack(key);
   }
 
+  // Near-optimal set: the caller's promise that these points include every
+  // incumbent the cutoff lets through, so a box that holds none of them
+  // holds no incumbent. Fixed here, before the fan-out, and only read.
+  NearOptimalBoxes near;
+  if (std::isfinite(cutoff_key) &&
+      std::all_of(opt_.near_optimal_set.begin(), opt_.near_optimal_set.end(),
+                  [&](const std::vector<double>& x) {
+                    return satisfies(m, x);
+                  })) {
+    for (std::size_t j = 0; j < m.var_count(); ++j) {
+      if (m.var(VarId(static_cast<std::uint32_t>(j))).type ==
+          VarType::kBinary) {
+        near.binaries.push_back(j);
+      }
+    }
+    for (const std::vector<double>& x : opt_.near_optimal_set) {
+      for (const std::size_t j : near.binaries) {
+        near.values.push_back(std::round(x[j]));
+      }
+    }
+  }
+
   // Subtree decomposition over the first `depth` free binaries, ordered by
   // branch priority (desc) then index (asc). The fan-out depends only on
   // `subtree_depth`, never on the thread count, so solutions and merged
@@ -471,12 +522,15 @@ Solution BranchAndBound::solve(const Model& m) const {
       sub.upper[j] = v;
     }
     results[i] = explore_subtree(m, opt_, std::move(sub), budget,
-                                 incumbent_key, cutoff_key);
+                                 incumbent_key, cutoff_key, near);
   };
 
   const unsigned workers = support::ThreadPool::resolve(opt_.threads);
   if (workers > 1 && n_subtrees > 1) {
-    support::ThreadPool pool(workers, "ilp");
+    // Every worker gets its named track, even one that draws no subtree.
+    support::ThreadPool pool(workers, "ilp", [tracer] {
+      if (tracer != nullptr) tracer->ensure_track();
+    });
     for (std::size_t i = 0; i < n_subtrees; ++i) {
       pool.submit([&run_subtree, i] { run_subtree(i); });
     }

@@ -8,9 +8,11 @@
 //
 // The search is preceded by a bound-box presolve (presolve.hpp) and a warm
 // start (caller hint and/or rounded root LP), can prune against a caller's
-// objective cutoff, and can fan the first `subtree_depth` branching levels
-// into 2^depth independent subtrees executed on a support::ThreadPool. See
-// docs/solver.md for the status-code, cutoff and determinism contracts.
+// objective cutoff and skip every box that holds none of the caller's
+// near-optimal points, and can fan the first `subtree_depth` branching
+// levels into 2^depth independent subtrees executed on a
+// support::ThreadPool. See docs/solver.md for the status-code, cutoff and
+// determinism contracts.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +54,16 @@ struct BranchAndBoundOptions {
   /// the returned Solution is the uncut search's (docs/solver.md,
   /// "Objective cutoff"). Only the effort counters can change.
   std::vector<double> cutoff_point;
+  /// Optional feasible assignments (each sized var_count()) that, by the
+  /// caller's promise, include every integer point whose objective lies
+  /// within the cutoff's slack: every incumbent the cutoff search could
+  /// accept. A node whose bound box holds none of their binary parts is
+  /// then pruned before its LP solve, which leaves the returned Solution
+  /// and the root statistics unchanged and only removes nodes
+  /// (docs/solver.md, "Near-optimal set"). Used only with a valid
+  /// `cutoff_point`; each point is validated like it, and one invalid
+  /// point makes the solver ignore the whole set.
+  std::vector<std::vector<double>> near_optimal_set;
   /// Worker threads for the subtree fan-out (0 = hardware concurrency,
   /// 1 = serial). Thread count never changes results or counters — only
   /// `subtree_depth` does.

@@ -15,7 +15,9 @@ struct SolveStats {
   std::uint64_t nodes = 0;              ///< branch & bound nodes expanded
   std::uint64_t max_depth = 0;          ///< deepest node expanded
   std::uint64_t incumbent_updates = 0;  ///< times the best solution improved
-  std::uint64_t bound_prunes = 0;       ///< subtrees cut by the dual bound
+  /// Subtrees cut by the dual bound, or by a bound box that holds none of
+  /// the near-optimal points (BranchAndBoundOptions::near_optimal_set).
+  std::uint64_t bound_prunes = 0;
   std::uint64_t infeasible_prunes = 0;  ///< subtrees cut by LP infeasibility
   std::uint64_t simplex_iterations = 0; ///< pivots across all LP solves
   /// Variables fixed before search by bound-box presolve (0 for solvers

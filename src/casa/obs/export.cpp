@@ -1,5 +1,6 @@
 #include "casa/obs/export.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <functional>
 #include <ostream>
@@ -82,21 +83,21 @@ void write_snapshot_body(std::ostream& os, const MetricsSnapshot& snap,
 }  // namespace
 
 std::string format_double(double v) {
-  // Shortest representation that parses back to the same double: %.17g is
-  // always sufficient but often longer than necessary.
+  // The first general-format precision that reads back as v (17 always
+  // does for a finite v; a NaN never does and prints at 17). to_chars
+  // prints what %.*g prints and from_chars parses exactly, without the
+  // locale and format-string work of snprintf and sscanf.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lf", &back);
-  if (back == v) {
-    for (int prec = 1; prec < 17; ++prec) {
-      char shorter[64];
-      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-      std::sscanf(shorter, "%lf", &back);
-      if (back == v) return shorter;
-    }
+  char* end = buf;
+  for (int prec = 1; prec <= 17; ++prec) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0.0;
+    const std::from_chars_result r = std::from_chars(buf, end, back);
+    if (r.ec == std::errc{} && back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 std::string json_escape(std::string_view s) {

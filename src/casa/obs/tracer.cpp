@@ -114,9 +114,7 @@ Tracer::ThreadBuffer* Tracer::buffer_for_this_thread() {
   return buffers_.back().get();
 }
 
-void Tracer::record(TraceEventKind kind, std::string_view name,
-                    std::string_view cat, std::uint64_t flow_id,
-                    double value) {
+Tracer::ThreadBuffer* Tracer::this_thread_buffer() {
   TlsBufferCache& cache = tls_cache();
   if (cache.generation != generation_) {
     void* found = nullptr;
@@ -136,7 +134,15 @@ void Tracer::record(TraceEventKind kind, std::string_view name,
     cache.buffer = found;
     cache.generation = generation_;
   }
-  auto* buf = static_cast<ThreadBuffer*>(cache.buffer);
+  return static_cast<ThreadBuffer*>(cache.buffer);
+}
+
+void Tracer::ensure_track() { this_thread_buffer(); }
+
+void Tracer::record(TraceEventKind kind, std::string_view name,
+                    std::string_view cat, std::uint64_t flow_id,
+                    double value) {
+  ThreadBuffer* const buf = this_thread_buffer();
   const std::size_t head = buf->head.load(std::memory_order_relaxed);
   if (head == buf->slots.size()) {
     buf->dropped.fetch_add(1, std::memory_order_relaxed);

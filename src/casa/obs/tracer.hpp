@@ -107,6 +107,11 @@ class Tracer {
   void flow_end(std::string_view name, std::uint64_t id,
                 std::string_view cat = "flow");
 
+  /// Registers the calling thread's track, labelled from its ThreadIdent,
+  /// without recording an event, so a worker that ends up recording
+  /// nothing still appears in drain()'s tracks. Idempotent.
+  void ensure_track();
+
   /// Snapshot of everything published so far. Safe to call while other
   /// threads are still recording (they keep their buffers; only completed
   /// slots are read). Timestamps are rebased so the earliest event is 0.
@@ -124,6 +129,8 @@ class Tracer {
   struct ThreadBuffer;
 
   ThreadBuffer* buffer_for_this_thread();
+  /// The calling thread's buffer, registered on first use.
+  ThreadBuffer* this_thread_buffer();
   void record(TraceEventKind kind, std::string_view name,
               std::string_view cat, std::uint64_t flow_id, double value);
 

@@ -52,8 +52,9 @@ unsigned ThreadPool::resolve(unsigned threads) {
   return hw != 0 ? hw : 1;
 }
 
-ThreadPool::ThreadPool(unsigned threads, std::string name)
-    : name_(std::move(name)) {
+ThreadPool::ThreadPool(unsigned threads, std::string name,
+                       std::function<void()> on_start)
+    : name_(std::move(name)), on_start_(std::move(on_start)) {
   const unsigned n = resolve(threads);
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
@@ -121,6 +122,7 @@ std::vector<TaskError> ThreadPool::wait_collect() { return drain_errors(); }
 void ThreadPool::worker_loop(unsigned index) {
   set_this_thread_ident(static_cast<int>(index),
                         name_ + "-" + std::to_string(index));
+  if (on_start_) on_start_();
   for (;;) {
     IndexedTask task;
     {

@@ -82,8 +82,12 @@ class ThreadPool {
  public:
   /// Spawns resolve(threads) workers; 0 means hardware_concurrency (at
   /// least 1). Workers ident themselves as "<name>-<index>" (see
-  /// ThreadIdent). Throws ThreadStartError when a worker cannot start.
-  explicit ThreadPool(unsigned threads = 0, std::string name = "worker");
+  /// ThreadIdent) and then run `on_start`, if given, before their first
+  /// task; every worker runs it once, even one that gets no task, by the
+  /// time the pool is destroyed. It runs on all workers concurrently and
+  /// must not throw. Throws ThreadStartError when a worker cannot start.
+  explicit ThreadPool(unsigned threads = 0, std::string name = "worker",
+                      std::function<void()> on_start = {});
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -135,6 +139,7 @@ class ThreadPool {
   };
 
   std::string name_;
+  std::function<void()> on_start_;
   std::mutex mu_;
   std::condition_variable work_ready_;
   std::condition_variable all_done_;

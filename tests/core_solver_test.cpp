@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
 
+#include "casa/baseline/steinke.hpp"
 #include "casa/core/allocator.hpp"
 #include "casa/core/casa_branch_bound.hpp"
 #include "casa/core/formulation.hpp"
@@ -367,6 +369,128 @@ TEST(CasaBranchBound, TracedSolveEmitsProgressIncumbentsAndRootBound) {
   EXPECT_GE(bounds.front(), r.saving);
 }
 
+// ------------------------------------- CasaBranchBound: enumeration mode ---
+
+/// Every mask that fits and saves at least `floor`, by brute force.
+std::vector<std::vector<bool>> masks_saving_at_least(const SavingsProblem& sp,
+                                                      Energy floor) {
+  const std::size_t n = sp.item_count();
+  std::vector<std::vector<bool>> out;
+  for (std::uint32_t bits = 0; bits < (1u << n); ++bits) {
+    std::vector<bool> mask(n, false);
+    Bytes used = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (bits & (1u << k)) {
+        mask[k] = true;
+        used += sp.weight[k];
+      }
+    }
+    if (used <= sp.capacity && sp.saving_for(mask) >= floor) {
+      out.push_back(std::move(mask));
+    }
+  }
+  return out;
+}
+
+/// random_instance with 10 items plus planted near-ties. With `ties`,
+/// items 0 and 1 are duplicated (value, size and edges) and every edge is
+/// doubled. Two tiny-value items follow, one of them with a tiny edge to
+/// item 0: masks with and without them differ by less than any window.
+/// At most 14 items, every value positive.
+SavingsProblem near_tie_instance(std::uint64_t seed, bool ties) {
+  SavingsProblem sp = random_instance(seed, 10, 14, 0);
+  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  const auto add_item = [&sp](Energy value, Bytes weight) {
+    sp.object_of.push_back(
+        MemoryObjectId(static_cast<std::uint32_t>(sp.value.size())));
+    sp.value.push_back(value);
+    sp.weight.push_back(weight);
+    return static_cast<std::uint32_t>(sp.value.size() - 1);
+  };
+  if (ties) {
+    const std::size_t original = sp.edges.size();
+    for (std::uint32_t src = 0; src < 2; ++src) {
+      const std::uint32_t dup = add_item(sp.value[src], sp.weight[src]);
+      for (std::size_t e = 0; e < original; ++e) {
+        const SavingsProblem::Edge edge = sp.edges[e];
+        if (edge.a != src && edge.b != src) continue;
+        sp.edges.push_back({edge.a == src ? edge.b : edge.a, dup, edge.weight});
+      }
+    }
+    const std::size_t n = sp.edges.size();
+    for (std::size_t e = 0; e < n; ++e) sp.edges.push_back(sp.edges[e]);
+  }
+  add_item(1e-9 * (1.0 + rng.next_unit()), 4);
+  const std::uint32_t tiny = add_item(1e-12 * (1.0 + rng.next_unit()), 8);
+  sp.edges.push_back({0, tiny, 1e-10 * (1.0 + rng.next_unit())});
+  Bytes total = 0;
+  for (const Bytes w : sp.weight) total += w;
+  sp.capacity = total / 3;
+  return sp;
+}
+
+TEST(CasaBranchBound, EnumerationListsExactlyTheMasksWithinTheWindow) {
+  std::size_t listed = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const bool ties : {false, true}) {
+      const SavingsProblem sp = near_tie_instance(seed * 131, ties);
+      ASSERT_LE(sp.item_count(), 16u);
+      const Energy best = CasaBranchBound().solve(sp).saving;
+      for (const Energy window :
+           {0.0, near_optimal_window(sp), 1e-3 * best, 3e-2 * best}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " ties " +
+                     std::to_string(ties) + " window " +
+                     std::to_string(window));
+        const CasaBranchBoundResult r = CasaBranchBound().enumerate(sp, window);
+        ASSERT_TRUE(r.exact);
+        EXPECT_EQ(r.saving, sp.saving_for(r.chosen));
+        EXPECT_NEAR(r.saving, best, 1e-9);
+        std::vector<std::vector<bool>> got = r.near_optimal;
+        std::vector<std::vector<bool>> want =
+            masks_saving_at_least(sp, r.saving - window);
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want);
+        EXPECT_TRUE(std::binary_search(got.begin(), got.end(), r.chosen));
+        listed += got.size();
+      }
+    }
+  }
+  // The planted near-ties must put more than one mask in the windows.
+  EXPECT_GT(listed, 2u * 8u * 4u);
+}
+
+TEST(CasaBranchBound, EnumerationKeepsTheOptimumOnALongSearch) {
+  // 50 items run thousands of nodes, so the Lagrangian bound prunes in
+  // the enumeration mode too: the enumeration must still find solve()'s
+  // optimum and list only masks that fit within the window, and a search
+  // cut by its budget must say so.
+  const SavingsProblem sp = shaped_instance(2, 50, 3, 0);
+  const Energy window = near_optimal_window(sp);
+  const CasaBranchBoundResult best = CasaBranchBound().solve(sp);
+  const CasaBranchBoundResult listed = CasaBranchBound().enumerate(sp, window);
+  ASSERT_TRUE(listed.exact);
+  EXPECT_GT(listed.lagrangian_prunes, 0u);
+  EXPECT_EQ(listed.saving, best.saving);
+  EXPECT_TRUE(best.near_optimal.empty());
+  ASSERT_FALSE(listed.near_optimal.empty());
+  EXPECT_NE(std::find(listed.near_optimal.begin(), listed.near_optimal.end(),
+                      listed.chosen),
+            listed.near_optimal.end());
+  for (const std::vector<bool>& mask : listed.near_optimal) {
+    Bytes used = 0;
+    for (std::size_t k = 0; k < mask.size(); ++k) {
+      if (mask[k]) used += sp.weight[k];
+    }
+    EXPECT_LE(used, sp.capacity);
+    EXPECT_GE(sp.saving_for(mask), listed.saving - window);
+  }
+
+  CasaBranchBoundOptions small;
+  small.max_nodes = 16;
+  EXPECT_FALSE(CasaBranchBound(small).enumerate(sp, window).exact);
+}
+
 // ------------------------------------------------------------- Allocator ---
 
 conflict::ConflictGraph tiny_graph() {
@@ -543,6 +667,107 @@ TEST(Allocator, HugeCapacityTakesAllBeneficialObjects) {
   EXPECT_TRUE(r.on_spm[0]);
   EXPECT_TRUE(r.on_spm[1]);
   EXPECT_TRUE(r.on_spm[2]);
+}
+
+/// Twelve objects with conflicts among objects 1-11; object 0 has no
+/// fetches (so no edges) and 8 bytes, so placing it saves nothing and
+/// costs nothing when it fits the leftover capacity. It is item 0, the
+/// first variable the generic search fans out on.
+conflict::ConflictGraph zero_fetch_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = 12;
+  std::vector<std::uint64_t> fetches(n, 0);
+  for (std::size_t k = 1; k < n; ++k) fetches[k] = 100 + rng.next_below(5000);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> misses;
+  for (int e = 0; e < 24; ++e) {
+    const auto a = static_cast<std::uint32_t>(1 + rng.next_below(n - 1));
+    const auto b = static_cast<std::uint32_t>(1 + rng.next_below(n - 1));
+    if (a != b) misses[{a, b}] += 1 + rng.next_below(fetches[a] / 8);
+  }
+  std::vector<std::uint64_t> hits = fetches;
+  std::vector<conflict::Edge> edges;
+  for (const auto& [ab, m] : misses) {
+    hits[ab.first] -= std::min(hits[ab.first], m);
+    edges.push_back({MemoryObjectId(ab.first), MemoryObjectId(ab.second), m});
+  }
+  return conflict::ConflictGraph(n, std::move(fetches),
+                                 std::vector<std::uint64_t>(n, 0),
+                                 std::move(hits), std::move(edges));
+}
+
+CasaProblem zero_fetch_problem(const conflict::ConflictGraph& g,
+                               std::uint64_t seed) {
+  Rng rng(seed + 1);
+  CasaProblem p;
+  p.graph = &g;
+  p.sizes.push_back(8);
+  Bytes total = 0;
+  for (std::size_t k = 1; k < g.node_count(); ++k) {
+    p.sizes.push_back(4 * (4 + rng.next_below(28)));
+    total += p.sizes.back();
+  }
+  p.capacity = total / 3;
+  p.e_cache_hit = 1.0;
+  p.e_cache_miss = 25.0;
+  p.e_spm = 0.4;
+  return p;
+}
+
+TEST(Allocator, NearOptimalSetKeepsZeroFetchObjectsWhereTheSearchPutsThem) {
+  // Without presolve the generic search leaves a zero-fetch object's free
+  // location column at l = 0, on the scratchpad, whenever it fits, while
+  // the specialized engine's near-optimal masks all leave it cached. The
+  // allocator must then withhold the set: its mask must be the one the
+  // search finds with the cutoff alone. With presolve, which fixes the
+  // object cached, the set goes in and changes no mask either.
+  std::size_t planted = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const conflict::ConflictGraph g = zero_fetch_graph(seed);
+    const CasaProblem p = zero_fetch_problem(g, seed);
+    const SavingsProblem sp = presolve(p);
+    ASSERT_EQ(sp.value[0], 0.0);
+    const CasaModel cm = build_casa_model(sp, Linearization::kTight);
+    const CasaBranchBoundResult near =
+        CasaBranchBound().enumerate(sp, near_optimal_window(sp));
+    ASSERT_TRUE(near.exact);
+    for (const bool presolve_on : {false, true}) {
+      CasaOptions opt;
+      opt.engine = CasaEngine::kGenericIlp;
+      opt.ilp_presolve = presolve_on;
+      const AllocationResult r = CasaAllocator(opt).allocate(p);
+
+      // The allocator's generic search, with the cutoff alone and with
+      // the set.
+      ilp::BranchAndBoundOptions bopt;
+      bopt.subtree_depth = 3;
+      bopt.presolve = presolve_on;
+      bopt.warm_hint = warm_assignment(
+          cm, sp, baseline::knapsack_seed(sp.weight, sp.value, sp.capacity));
+      bopt.branch_priority.assign(cm.model.var_count(), 0);
+      for (const VarId l : cm.l_vars) bopt.branch_priority[l.index()] = 1;
+      bopt.cutoff_point = warm_assignment(cm, sp, near.chosen);
+      const ilp::Solution cut = ilp::BranchAndBound(bopt).solve(cm.model);
+      for (const std::vector<bool>& mask : near.near_optimal) {
+        bopt.near_optimal_set.push_back(warm_assignment(cm, sp, mask));
+      }
+      const ilp::Solution with_set =
+          ilp::BranchAndBound(bopt).solve(cm.model);
+      ASSERT_EQ(cut.status, ilp::SolveStatus::kOptimal);
+      ASSERT_EQ(with_set.status, ilp::SolveStatus::kOptimal);
+      const std::vector<bool> cut_mask = choice_from_solution(cm, cut);
+      EXPECT_EQ(r.on_spm, expand_choice(p, sp, cut_mask));
+      if (presolve_on) {
+        EXPECT_FALSE(cut_mask[0]);
+        EXPECT_EQ(choice_from_solution(cm, with_set), cut_mask);
+      } else if (choice_from_solution(cm, with_set) != cut_mask) {
+        ++planted;
+      }
+    }
+  }
+  // Some instance must show the hazard, or the presolve-off half proves
+  // nothing.
+  EXPECT_GT(planted, 0u);
 }
 
 }  // namespace

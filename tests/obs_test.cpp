@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +22,7 @@
 #include "casa/obs/trace_analysis.hpp"
 #include "casa/obs/tracer.hpp"
 #include "casa/support/error.hpp"
+#include "casa/support/rng.hpp"
 #include "casa/support/thread_pool.hpp"
 
 namespace casa::obs {
@@ -234,6 +239,53 @@ void expect_snapshots_equal(const MetricsSnapshot& got,
     EXPECT_EQ(got.spans.at(k).count, d.count) << k;
     EXPECT_EQ(got.spans.at(k).sum, d.sum) << k;
   }
+}
+
+/// format_double as it was written on snprintf and sscanf, kept as the
+/// reference the to_chars version must match byte for byte.
+std::string format_double_reference(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  double back = 0.0;
+  std::sscanf(buf, "%lf", &back);
+  if (back == v) {
+    for (int prec = 1; prec < 17; ++prec) {
+      char shorter[64];
+      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+      std::sscanf(shorter, "%lf", &back);
+      if (back == v) return shorter;
+    }
+  }
+  return buf;
+}
+
+TEST(FormatDouble, MatchesTheSnprintfReference) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e23, 9007199254740993.0,
+      limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+      -limits::quiet_NaN(), limits::signaling_NaN(), limits::denorm_min(),
+      -limits::denorm_min(), limits::min(), limits::max(), limits::lowest(),
+      limits::epsilon(), std::bit_cast<double>(0x000fffffffffffffULL)};
+  Rng rng(20261019);
+  for (int i = 0; i < 20'000; ++i) {
+    // Any bit pattern: NaN payloads, denormals, both signs.
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+    // Energies and times as the artifacts hold them.
+    values.push_back(rng.next_unit() * std::ldexp(1.0, 26));
+    values.push_back(
+        std::ldexp(std::floor(rng.next_unit() * 1e6), -static_cast<int>(
+                                                          rng.next_below(40))));
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = format_double(v);
+    const std::string want = format_double_reference(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << ": " << got << " != " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Artifact, JsonRoundTripsThroughIoSerialize) {
@@ -552,6 +604,27 @@ TEST(Tracer, PoolWorkersGetNamedTracksConcurrently) {
     EXPECT_EQ(track.label,
               "tp-" + std::to_string(track.worker_index));
   }
+}
+
+TEST(Tracer, StartHookGivesEveryPoolWorkerATrackWithoutEvents) {
+  // A worker that draws no task records nothing, so without the hook it
+  // would get no track: ensure_track() names it and records no event.
+  constexpr unsigned kThreads = 3;
+  Tracer tracer;
+  tracer.ensure_track();
+  tracer.ensure_track();  // idempotent: one track for this thread
+  {
+    support::ThreadPool pool(kThreads, "tp",
+                             [&tracer] { tracer.ensure_track(); });
+    pool.submit([&tracer] { tracer.instant("only", 1.0, "test"); });
+    pool.wait();
+  }
+  const TraceData data = tracer.drain();
+  ASSERT_EQ(data.events.size(), 1u);
+  ASSERT_EQ(data.tracks.size(), kThreads + 1);
+  std::set<std::string> labels;
+  for (const TraceTrack& track : data.tracks) labels.insert(track.label);
+  EXPECT_EQ(labels, (std::set<std::string>{"main", "tp-0", "tp-1", "tp-2"}));
 }
 
 TEST(Tracer, WriteTraceJsonIsByteStableAndRoundTrips) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -311,6 +312,25 @@ TEST(ThreadPool, RefusesCountsAboveTheCapBeforeSpawning) {
   EXPECT_THROW(ThreadPool pool(ThreadPool::kMaxThreads + 1),
                PreconditionError);
   EXPECT_EQ(live_threads(), before);
+}
+
+TEST(ThreadPool, StartHookRunsOnceOnEveryWorker) {
+  // Each worker runs the hook under its ident before its first task, even
+  // a worker that never gets one, by the time the pool is destroyed.
+  std::mutex mu;
+  std::multiset<std::string> started;
+  std::atomic<int> ran{0};
+  {
+    support::ThreadPool pool(4, "hook", [&] {
+      const std::lock_guard<std::mutex> lock(mu);
+      started.insert(support::this_thread_ident().name);
+    });
+    pool.submit([&ran] { ++ran; });
+    pool.wait();
+  }
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(started, (std::multiset<std::string>{"hook-0", "hook-1", "hook-2",
+                                                  "hook-3"}));
 }
 
 TEST(ThreadPool, FailedWorkerStartJoinsStartedWorkersAndThrows) {
