@@ -7,12 +7,13 @@
 // BM_HierarchySimulation vs …WordRef) measure the line-granular fetch
 // stream against the word-granular reference on identical inputs; their
 // items/sec ratio is the compiled-stream speedup. mpeg's paper cache is
-// direct-mapped, so those line replays run on cachesim::DirectMappedCache;
-// their …TwoWay twins replay the same stream through a 2-way Cache, and
-// each ratio to its twin is the tag model's speedup. The one-pass pairs
-// (BM_StackSweep vs …PerConfigRef, BM_ConflictGraphFamily vs
-// …PerConfigRef) measure one stack replay of a geometry family against one
-// replay per configuration. BM_ParallelSweep runs a
+// direct-mapped, so those line replays run on cachesim::LruTags<1>; their
+// …TwoWay twins replay the same stream at 2 LRU ways on LruTags<2>, and
+// their …TwoWayFifo twins at 2 FIFO ways on the generic Cache, so each
+// tag-model kernel's ratio to its FIFO twin is the tag model's speedup.
+// The one-pass pair (BM_StackSweep vs …PerConfigRef) measures one stack
+// replay of a geometry family against one replay per configuration.
+// BM_ParallelSweep runs a
 // fixed CASA design-space sweep through Workbench::evaluate_batch at 1/2/4
 // threads; on a multi-core host items/sec should scale near-linearly.
 // tools/bench_check.sh compares all of these against BENCH_cachesim.json.
@@ -140,17 +141,22 @@ void BM_CompiledStreamBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/// mpeg's paper cache (direct-mapped) with `ways` ways at the same size.
-cachesim::CacheConfig mpeg_cache(unsigned ways) {
+/// mpeg's paper cache (direct-mapped LRU) with `ways` ways at the same
+/// size, under `policy`.
+cachesim::CacheConfig mpeg_cache(unsigned ways,
+                                 cachesim::ReplacementPolicy policy =
+                                     cachesim::ReplacementPolicy::kLru) {
   cachesim::CacheConfig cache = workloads::paper_cache_for("mpeg");
   cache.associativity = ways;
+  cache.policy = policy;
   return cache;
 }
 
-void conflict_graph_build(benchmark::State& state, unsigned ways) {
+void conflict_graph_build(benchmark::State& state,
+                          const cachesim::CacheConfig& cache) {
   const Pipeline& p = pipeline();
   conflict::BuildOptions opt;
-  opt.cache = mpeg_cache(ways);
+  opt.cache = cache;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         conflict::build_conflict_graph(p.tp, p.layout, p.exec.walk, opt));
@@ -160,15 +166,21 @@ void conflict_graph_build(benchmark::State& state, unsigned ways) {
       static_cast<std::int64_t>(p.exec.total_fetches));
 }
 
-// The direct-mapped tag model (mpeg's paper cache is 1-way).
+// The one-way tag model (mpeg's paper cache is 1-way).
 void BM_ConflictGraphBuild(benchmark::State& state) {
-  conflict_graph_build(state, 1);
+  conflict_graph_build(state, mpeg_cache(1));
 }
 
-// The same stream through the generic set-associative Cache: 2 ways.
-// tools/bench_check.sh gates BM_ConflictGraphBuild >= 2x this.
+// The same stream at 2 LRU ways: the two-way tag model.
 void BM_ConflictGraphBuildTwoWay(benchmark::State& state) {
-  conflict_graph_build(state, 2);
+  conflict_graph_build(state, mpeg_cache(2));
+}
+
+// The same stream at 2 FIFO ways: the generic set-associative Cache.
+// tools/bench_check.sh gates BM_ConflictGraphBuild and …TwoWay >= 2x this.
+void BM_ConflictGraphBuildTwoWayFifo(benchmark::State& state) {
+  conflict_graph_build(state,
+                       mpeg_cache(2, cachesim::ReplacementPolicy::kFifo));
 }
 
 void BM_ConflictGraphBuildWordRef(benchmark::State& state) {
@@ -185,9 +197,9 @@ void BM_ConflictGraphBuildWordRef(benchmark::State& state) {
       static_cast<std::int64_t>(p.exec.total_fetches));
 }
 
-void hierarchy_simulation(benchmark::State& state, unsigned ways) {
+void hierarchy_simulation(benchmark::State& state,
+                          const cachesim::CacheConfig& cache) {
   const Pipeline& p = pipeline();
-  const auto cache = mpeg_cache(ways);
   const auto energies = energy::EnergyTable::build(cache, 512, 0, 0);
   const std::vector<bool> none(p.tp.object_count(), false);
   for (auto _ : state) {
@@ -199,15 +211,21 @@ void hierarchy_simulation(benchmark::State& state, unsigned ways) {
       static_cast<std::int64_t>(p.exec.total_fetches));
 }
 
-// The direct-mapped tag model (mpeg's paper cache is 1-way).
+// The one-way tag model (mpeg's paper cache is 1-way).
 void BM_HierarchySimulation(benchmark::State& state) {
-  hierarchy_simulation(state, 1);
+  hierarchy_simulation(state, mpeg_cache(1));
 }
 
-// The same stream through the generic set-associative Cache: 2 ways.
-// tools/bench_check.sh gates BM_HierarchySimulation >= 2x this.
+// The same stream at 2 LRU ways: the two-way tag model.
 void BM_HierarchySimulationTwoWay(benchmark::State& state) {
-  hierarchy_simulation(state, 2);
+  hierarchy_simulation(state, mpeg_cache(2));
+}
+
+// The same stream at 2 FIFO ways: the generic set-associative Cache.
+// tools/bench_check.sh gates BM_HierarchySimulation and …TwoWay >= 2x this.
+void BM_HierarchySimulationTwoWayFifo(benchmark::State& state) {
+  hierarchy_simulation(state,
+                       mpeg_cache(2, cachesim::ReplacementPolicy::kFifo));
 }
 
 void BM_HierarchySimulationWordRef(benchmark::State& state) {
@@ -304,64 +322,10 @@ void BM_StackSweepPerConfigRef(benchmark::State& state) {
       static_cast<std::int64_t>(s.total_words * family.configs.size()));
 }
 
-// The 12-geometry sweep family a CASA design-space sweep builds graphs
-// for: I-cache {1, 2, 4, 8} KiB x associativity {1, 2, 4} at 16-byte lines.
-std::vector<cachesim::CacheConfig> graph_family() {
-  std::vector<cachesim::CacheConfig> configs;
-  for (const Bytes kib : {1u, 2u, 4u, 8u}) {
-    for (const unsigned assoc : {1u, 2u, 4u}) {
-      cachesim::CacheConfig cfg;
-      cfg.size = kib * 1024;
-      cfg.line_size = 16;
-      cfg.associativity = assoc;
-      configs.push_back(cfg);
-    }
-  }
-  return configs;
-}
-
-// Every conflict graph of the family from one stack replay of the mpeg
-// stream. Items = profiled word fetches x configurations, so the items/sec
-// ratio to BM_ConflictGraphFamilyPerConfigRef is the family-build speedup
-// tools/bench_check.sh gates (>= 2x).
-void BM_ConflictGraphFamily(benchmark::State& state) {
-  const Pipeline& p = pipeline();
-  const std::vector<cachesim::CacheConfig> configs = graph_family();
-  const trace::CompiledStream stream =
-      traceopt::compile_fetch_stream(p.tp, p.layout, 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        conflict::build_conflict_graphs(p.tp, stream, p.exec.walk, configs));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(p.exec.total_fetches * configs.size()));
-}
-
-// The same 12 graphs built one configuration at a time.
-void BM_ConflictGraphFamilyPerConfigRef(benchmark::State& state) {
-  const Pipeline& p = pipeline();
-  const std::vector<cachesim::CacheConfig> configs = graph_family();
-  const trace::CompiledStream stream =
-      traceopt::compile_fetch_stream(p.tp, p.layout, 16);
-  for (auto _ : state) {
-    for (const cachesim::CacheConfig& cfg : configs) {
-      conflict::BuildOptions opt;
-      opt.cache = cfg;
-      benchmark::DoNotOptimize(
-          conflict::build_conflict_graph(p.tp, stream, p.exec.walk, opt));
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(p.exec.total_fetches * configs.size()));
-}
-
 // A fixed 8-point CASA sweep on adpcm through Workbench::evaluate_batch;
 // the thread count is the benchmark argument. Items = sweep points evaluated.
 // Each scratchpad size pairs two cache sizes, and a pair shares no stack
-// replay or family graph build, so every point runs its whole flow as one
-// task: on a multi-core host items/sec should rise near-linearly with the
+// replay, so every point runs its whole flow as one task: on a multi-core host items/sec should rise near-linearly with the
 // argument (a single-core host shows flat numbers — the determinism test
 // still covers correctness there).
 void BM_ParallelSweep(benchmark::State& state) {
@@ -511,14 +475,14 @@ BENCHMARK(BM_Executor)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompiledStreamBuild);
 BENCHMARK(BM_ConflictGraphBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConflictGraphBuildTwoWay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConflictGraphBuildTwoWayFifo)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConflictGraphBuildWordRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulation)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationTwoWay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HierarchySimulationTwoWayFifo)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationWordRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackSweepPerConfigRef)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ConflictGraphFamily)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ConflictGraphFamilyPerConfigRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -58,14 +58,68 @@ StackSimulator::StackSimulator(ConfigFamily family)
   }
   next_.resize(levels_.size());
   prev_.resize(levels_.size());
-  above_.assign(a_max_, kNil);
   reuse_hist_.assign(levels_.size() * (a_max_ + 1), 0);
   cold_hist_.assign(levels_.size() * (a_max_ + 1), 0);
 }
 
 void StackSimulator::access_line(Addr addr, std::uint32_t words) {
-  NoObserver none;
-  access_line(addr, words, none);
+  total_words_ += words;
+  const std::uint64_t line = addr >> offset_shift_;
+
+  if (line >= line_id_.size()) {
+    line_id_.resize(
+        std::max<std::size_t>(line + 1, line_id_.size() * 2), 0);
+  }
+  const std::uint32_t slot = line_id_[line];
+  const bool reuse = slot != 0;
+  std::uint32_t node;
+  if (reuse) {
+    node = slot - 1;
+  } else {
+    // First touch: mint a dense id with unlinked handles at every level.
+    ++cold_runs_;
+    node = lines_++;
+    line_id_[line] = node + 1;
+    for (std::size_t i = 0; i < levels_.size(); ++i) {
+      next_[i].push_back(kNil);
+      prev_[i].push_back(kNil);
+    }
+  }
+
+  // At each kept level the accessed line's set list holds, MRU-first, the
+  // distinct lines of its cache set. Its position there is the per-set
+  // stack distance; positions >= a_max_ miss in every family member, so
+  // each walk stops after at most a_max_ nodes. A first touch's "distance"
+  // is the set's distinct-line count (decides whether the fill still found
+  // an invalid way), equally capped. The splice never needs the walk to
+  // reach the node: its level handles unlink it in O(1) from any depth.
+  std::uint64_t* const hist = (reuse ? reuse_hist_ : cold_hist_).data();
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    std::uint32_t* const nxt = next_[i].data();
+    std::uint32_t* const prv = prev_[i].data();
+    std::uint32_t& head =
+        heads_[i][static_cast<std::size_t>(line) & set_mask_[i]];
+
+    unsigned d = 0;
+    std::uint32_t cur = head;
+    while (cur != kNil && cur != node && d < a_max_) {
+      ++d;
+      cur = nxt[cur];
+    }
+    ++hist[i * (a_max_ + 1) + d];
+
+    if (head == node) continue;  // already MRU
+    if (reuse) {
+      const std::uint32_t p = prv[node];
+      const std::uint32_t n = nxt[node];
+      nxt[p] = n;
+      if (n != kNil) prv[n] = p;
+    }
+    nxt[node] = head;
+    if (head != kNil) prv[head] = node;
+    prv[node] = kNil;
+    head = node;
+  }
 }
 
 std::size_t StackSimulator::level_of(unsigned sets) const {

@@ -21,23 +21,19 @@
 // configuration (the oracle suite in tests/stack_sim_test.cpp holds this
 // across every bundled workload).
 //
-// The walk itself is a template over a per-access observer: the histogram
-// update is the default observer, and conflict::build_conflict_graphs
-// plugs in one that also reads which line each member evicts (the line at
-// depth A-1 of the set's list), so every conflict graph of a family comes
-// from the same single walk. Both callers (the batch engine's stack pass
-// and the family graphs) feed it runs through the replay kernel
-// (memsim/replay.hpp). Only LRU has the inclusion property: a non-LRU
+// The batch engine's stack pass (Workbench::evaluate_batch) feeds it runs
+// through the replay kernel (memsim/replay.hpp) and finishes each group
+// member from its counters. Conflict graphs are built per geometry on the
+// tag models (cachesim/line_model.hpp), which keep one recency list per set
+// of a single geometry. Only LRU has the inclusion property: a non-LRU
 // member is a PreconditionError, and callers replay those geometries one
 // by one on cachesim::with_line_model.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "casa/cachesim/cache.hpp"
-#include "casa/support/error.hpp"
 #include "casa/support/units.hpp"
 
 namespace casa::cachesim {
@@ -84,23 +80,6 @@ class StackSimulator {
   /// all inside the memory line containing `addr`.
   void access_line(Addr addr, std::uint32_t words);
 
-  /// access_line that also reports the walk to `obs` (counters() stays
-  /// exact either way). After the walk at each kept
-  /// level the engine calls
-  ///
-  ///   obs.on_level(level, line, reuse, distance, above)
-  ///
-  /// with `level` an index into levels(); `line` the accessed line's dense
-  /// id (ids are minted 0, 1, 2, ... in first-touch order); `reuse` false
-  /// on a first touch; `distance` the line's per-set stack distance — on a
-  /// first touch the set's distinct-line count — capped at the family's
-  /// maximum associativity; and `above` the dense ids of the `distance` lines
-  /// above it in its set's recency list, MRU first. An observer whose
-  /// static member kWantsAbove is false gets no ids and the walk records
-  /// none.
-  template <class Observer>
-  void access_line(Addr addr, std::uint32_t words, Observer& obs);
-
   /// Counters for one configuration, as if a fresh Cache had replayed the
   /// whole access sequence. The configuration needs LRU, the family's line
   /// size, a set count that some member has (only those levels are kept)
@@ -116,13 +95,6 @@ class StackSimulator {
   std::size_t level_of(unsigned sets) const;
 
  private:
-  /// The observer of plain access_line calls.
-  struct NoObserver {
-    static constexpr bool kWantsAbove = false;
-    void on_level(std::size_t, std::uint32_t, bool, unsigned,
-                  const std::uint32_t*) const {}
-  };
-
   ConfigFamily family_;
   unsigned offset_shift_ = 0;  ///< log2(line_size)
   unsigned a_max_ = 1;         ///< max associativity
@@ -139,7 +111,6 @@ class StackSimulator {
   std::vector<std::vector<std::uint32_t>> heads_;  ///< [i][set] -> line id
   std::vector<std::vector<std::uint32_t>> next_;   ///< [i][line id]
   std::vector<std::vector<std::uint32_t>> prev_;   ///< [i][line id]
-  std::vector<std::uint32_t> above_;               ///< walk scratch, a_max_
   /// line number -> dense id + 1 (0 = never touched). Line numbers are
   /// layout offsets / line_size, so this stays small and O(1) beats hashing.
   std::vector<std::uint32_t> line_id_;
@@ -153,70 +124,5 @@ class StackSimulator {
   std::uint64_t cold_runs_ = 0;
   std::uint64_t total_words_ = 0;
 };
-
-template <class Observer>
-void StackSimulator::access_line(Addr addr, std::uint32_t words,
-                                 Observer& obs) {
-  total_words_ += words;
-  const std::uint64_t line = addr >> offset_shift_;
-
-  if (line >= line_id_.size()) {
-    line_id_.resize(
-        std::max<std::size_t>(line + 1, line_id_.size() * 2), 0);
-  }
-  const std::uint32_t slot = line_id_[line];
-  const bool reuse = slot != 0;
-  std::uint32_t node;
-  if (reuse) {
-    node = slot - 1;
-  } else {
-    // First touch: mint a dense id with unlinked handles at every level.
-    ++cold_runs_;
-    node = lines_++;
-    line_id_[line] = node + 1;
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-      next_[i].push_back(kNil);
-      prev_[i].push_back(kNil);
-    }
-  }
-
-  // At each kept level the accessed line's set list holds, MRU-first, the
-  // distinct lines of its cache set. Its position there is the per-set
-  // stack distance; positions >= a_max_ miss in every family member, so
-  // each walk stops after at most a_max_ nodes. A first touch's "distance"
-  // is the set's distinct-line count (decides whether the fill still found
-  // an invalid way), equally capped. The splice never needs the walk to
-  // reach the node: its level handles unlink it in O(1) from any depth.
-  std::uint64_t* const hist = (reuse ? reuse_hist_ : cold_hist_).data();
-  std::uint32_t* const above = above_.data();
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    std::uint32_t* const nxt = next_[i].data();
-    std::uint32_t* const prv = prev_[i].data();
-    std::uint32_t& head =
-        heads_[i][static_cast<std::size_t>(line) & set_mask_[i]];
-
-    unsigned d = 0;
-    std::uint32_t cur = head;
-    while (cur != kNil && cur != node && d < a_max_) {
-      if constexpr (Observer::kWantsAbove) above[d] = cur;
-      ++d;
-      cur = nxt[cur];
-    }
-    ++hist[i * (a_max_ + 1) + d];
-    obs.on_level(i, node, reuse, d, above);
-
-    if (head == node) continue;  // already MRU
-    if (reuse) {
-      const std::uint32_t p = prv[node];
-      const std::uint32_t n = nxt[node];
-      nxt[p] = n;
-      if (n != kNil) prv[n] = p;
-    }
-    nxt[node] = head;
-    if (head != kNil) prv[head] = node;
-    prv[node] = kNil;
-    head = node;
-  }
-}
 
 }  // namespace casa::cachesim

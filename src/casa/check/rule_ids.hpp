@@ -73,9 +73,6 @@ inline constexpr std::string_view kEnergySramNonMonotone =
 // ---- stack sweep (check_stack_sweep) ----
 inline constexpr std::string_view kSweepStackMismatch = "sweep.stack.mismatch";
 
-// ---- family conflict graphs (check_graph_sweep) ----
-inline constexpr std::string_view kSweepGraphMismatch = "sweep.graph.mismatch";
-
 // ---- batch containment (check_batch) ----
 inline constexpr std::string_view kRunPartialFailure = "run.partial_failure";
 
@@ -115,7 +112,6 @@ inline constexpr std::string_view kAll[] = {
     kEnergyOrderHitSpm,
     kEnergySramNonMonotone,
     kSweepStackMismatch,
-    kSweepGraphMismatch,
     kRunPartialFailure,
     kSvcCacheMismatch,
 };

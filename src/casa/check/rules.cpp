@@ -25,7 +25,6 @@ constexpr const char* kAllocArtifact = "allocation";
 constexpr const char* kEnergyArtifact = "energy-table";
 constexpr const char* kEnergyModelArtifact = "energy-model";
 constexpr const char* kStackSweepArtifact = "stack-sweep";
-constexpr const char* kGraphSweepArtifact = "graph-sweep";
 constexpr const char* kBatchArtifact = "batch-run";
 constexpr const char* kSvcCacheArtifact = "svc-cache";
 
@@ -642,52 +641,6 @@ void check_stack_sweep(const memsim::SimCounters& stack,
                    "replay; a drift here invalidates every configuration "
                    "sharing this group's stack pass");
     }
-  }
-  runner.mark_evaluated(1);
-}
-
-void check_graph_sweep(const conflict::ConflictGraph& family,
-                       const conflict::ConflictGraph& direct,
-                       const cachesim::CacheConfig& config,
-                       CheckRunner& runner) {
-  const std::string loc = "cache[" + std::to_string(config.size) + "B/" +
-                          std::to_string(config.associativity) + "way/" +
-                          std::to_string(config.line_size) + "B]";
-  const char* const hint =
-      "the one-pass family build must be bit-identical to the per-config "
-      "build; a drift here invalidates every graph of this family";
-  const auto mismatch = [&](const std::string& what) {
-    runner.error(rule_ids::kSweepGraphMismatch, kGraphSweepArtifact, loc,
-                 "family-built " + what, hint);
-  };
-  if (family.node_count() != direct.node_count()) {
-    mismatch("graph has " + std::to_string(family.node_count()) +
-             " nodes but the direct build has " +
-             std::to_string(direct.node_count()));
-  } else {
-    for (std::size_t i = 0; i < direct.node_count(); ++i) {
-      const MemoryObjectId mo(static_cast<std::uint32_t>(i));
-      if (family.fetches(mo) != direct.fetches(mo) ||
-          family.hits(mo) != direct.hits(mo) ||
-          family.cold_misses(mo) != direct.cold_misses(mo)) {
-        std::ostringstream msg;
-        msg << "node " << i << " has fetches/hits/cold "
-            << family.fetches(mo) << "/" << family.hits(mo) << "/"
-            << family.cold_misses(mo) << " but the direct build counted "
-            << direct.fetches(mo) << "/" << direct.hits(mo) << "/"
-            << direct.cold_misses(mo);
-        mismatch(msg.str());
-      }
-    }
-  }
-  const auto same_edge = [](const conflict::Edge& a, const conflict::Edge& b) {
-    return a.from == b.from && a.to == b.to && a.misses == b.misses;
-  };
-  if (!std::equal(family.edges().begin(), family.edges().end(),
-                  direct.edges().begin(), direct.edges().end(), same_edge)) {
-    mismatch("graph's " + std::to_string(family.edge_count()) +
-             " edges differ from the direct build's " +
-             std::to_string(direct.edge_count()));
   }
   runner.mark_evaluated(1);
 }

@@ -98,16 +98,6 @@ void check_stack_sweep(const memsim::SimCounters& stack,
                        const cachesim::CacheConfig& config,
                        CheckRunner& runner);
 
-/// Family graph cross-validation: the conflict graph the one-pass family
-/// build (conflict::build_conflict_graphs) produced for a sampled member
-/// must equal conflict::build_conflict_graph's for the same configuration
-/// — node count, per-node fetches, hits and cold misses, and every edge.
-/// A divergence makes every graph of that family suspect.
-void check_graph_sweep(const conflict::ConflictGraph& family,
-                       const conflict::ConflictGraph& direct,
-                       const cachesim::CacheConfig& config,
-                       CheckRunner& runner);
-
 /// What a fault-contained batch run produced, reduced to the counts the
 /// run.partial_failure rule needs (plain values so the rule stays free of
 /// report-layer types; report::batch_summary_of builds one from JobResults).

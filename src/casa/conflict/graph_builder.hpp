@@ -8,24 +8,14 @@
 //
 // By default the walk is replayed at line granularity by the replay kernel
 // (memsim/replay.hpp) over a pre-compiled fetch stream, on the model
-// cachesim::with_line_model picks (the direct-mapped tag model at one way,
-// Cache otherwise), with conflict::MissAttribution as its per-run step. The
-// word-granular reference survives behind BuildOptions as the oracle.
-//
-// A design-space sweep needs G for many cache geometries over one trace
-// program and layout. build_conflict_graphs reads every LRU member's graph
-// off ONE cachesim::StackSimulator walk, fed by the same kernel: an S-set,
-// A-way LRU set holds the A most recent distinct lines of its recency list,
-// so a member misses on a first touch or at stack distance >= A, and its
-// fill evicts the line at depth A-1 exactly when A lines sit above the
-// accessed one. Each member keeps its own evictor table and m_ij counts and
-// attributes the miss as the single-config replay does; hits follow as
-// fetches minus misses. The graphs are bit-identical to
-// build_conflict_graph's, which stays the oracle (tests/conflict_test.cpp)
-// and serves non-LRU members.
+// cachesim::with_line_model picks (the LRU tag model at one way and at 2,
+// 4 or 8 LRU ways, Cache otherwise), with conflict::MissAttribution as its
+// per-run step. The word-granular reference survives behind BuildOptions
+// as the oracle (tests/conflict_test.cpp and
+// tests/compiled_stream_test.cpp hold every geometry to it). A
+// design-space sweep builds one graph per geometry, each from its own
+// replay of one compiled stream.
 #pragma once
-
-#include <vector>
 
 #include "casa/cachesim/cache.hpp"
 #include "casa/conflict/conflict_graph.hpp"
@@ -58,16 +48,5 @@ ConflictGraph build_conflict_graph(const traceopt::TraceProgram& tp,
                                    const trace::CompiledStream& stream,
                                    const trace::BlockWalk& walk,
                                    const BuildOptions& opt);
-
-/// One graph per entry of `caches`, each equal to what
-/// build_conflict_graph(tp, stream, walk, {cache}) returns for it (default
-/// seed). Every config must use the stream's line size. The distinct LRU
-/// configs share one stack replay when there are at least two of them;
-/// non-LRU configs, and a lone LRU geometry, are built one by one.
-/// Duplicated configs are built once.
-std::vector<ConflictGraph> build_conflict_graphs(
-    const traceopt::TraceProgram& tp, const trace::CompiledStream& stream,
-    const trace::BlockWalk& walk,
-    const std::vector<cachesim::CacheConfig>& caches);
 
 }  // namespace casa::conflict

@@ -4,6 +4,8 @@
 
 namespace casa::conflict {
 
+namespace {
+
 std::vector<std::uint64_t> hits_from(std::vector<std::uint64_t> fetches,
                                      const std::vector<std::uint64_t>& cold,
                                      const std::vector<Edge>& edges) {
@@ -11,6 +13,8 @@ std::vector<std::uint64_t> hits_from(std::vector<std::uint64_t> fetches,
   for (const Edge& e : edges) fetches[e.from.index()] -= e.misses;
   return fetches;
 }
+
+}  // namespace
 
 MissAttribution::MissAttribution(std::size_t objects, std::uint64_t first_line,
                                  std::uint64_t end_line)

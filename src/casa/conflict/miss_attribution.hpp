@@ -4,8 +4,7 @@
 // displaced; when that line misses again, the miss is charged to (missing
 // object, recorded evictor) — one m_ij — and the record is cleared. A miss
 // with no record is cold. build_conflict_graph (both granularities),
-// overlay::build_phase_profile and data::profile_data share this one type;
-// only the family graph replay keeps per-member tables of its own.
+// overlay::build_phase_profile and data::profile_data share this one type.
 #pragma once
 
 #include <bit>
@@ -18,12 +17,6 @@
 #include "casa/trace/compiled_stream.hpp"
 
 namespace casa::conflict {
-
-/// Every fetch that is neither a cold miss nor one of its object's m_ij
-/// misses hit: the replays count misses only and derive hits here.
-std::vector<std::uint64_t> hits_from(std::vector<std::uint64_t> fetches,
-                                     const std::vector<std::uint64_t>& cold,
-                                     const std::vector<Edge>& edges);
 
 class MissAttribution {
  public:
@@ -66,7 +59,8 @@ class MissAttribution {
   std::vector<Edge> take_edges();
 
   /// The conflict graph of what was attributed, with `hits` per object;
-  /// empty derives them (hits_from). The word reference counts its own.
+  /// empty derives them: every fetch that is neither a cold miss nor one
+  /// of its object's m_ij hit. The word reference counts its own.
   ConflictGraph finish(std::vector<std::uint64_t> hits = {});
 
  private:

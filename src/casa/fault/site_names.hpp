@@ -31,9 +31,6 @@ inline constexpr std::string_view kSolverAllocate = "fault.solver.allocate";
 // ---- one-pass sweep engine ----
 /// Start of a shared evaluate_batch stack pass (arg = representative job).
 inline constexpr std::string_view kSweepStackPass = "fault.sweep.stack_pass";
-/// Start of a shared evaluate_batch family conflict-graph build (arg =
-/// representative job).
-inline constexpr std::string_view kSweepGraphPass = "fault.sweep.graph_pass";
 
 // ---- artifact I/O (guarded writes; see obs::write_artifact_guarded) ----
 inline constexpr std::string_view kIoMetricsWrite = "fault.io.metrics_write";
@@ -51,9 +48,9 @@ inline constexpr std::string_view kSvcCacheLoad = "fault.svc.cache_load";
 /// Every registered site, docs-sync-checked against docs/faults.md by
 /// casa_lint and iterated by the fault-matrix test.
 inline constexpr std::string_view kAll[] = {
-    kSimPrepare,     kSimFinish,    kSolverAllocate, kSweepStackPass,
-    kSweepGraphPass, kIoMetricsWrite, kIoTraceWrite, kIoCheckWrite,
-    kSvcAdmit,       kSvcCacheLoad,
+    kSimPrepare,   kSimFinish,    kSolverAllocate, kSweepStackPass,
+    kIoMetricsWrite, kIoTraceWrite, kIoCheckWrite,  kSvcAdmit,
+    kSvcCacheLoad,
 };
 
 namespace detail {

@@ -2,7 +2,7 @@
 
 #include <optional>
 
-#include "casa/cachesim/direct_mapped.hpp"
+#include "casa/cachesim/line_model.hpp"
 #include "casa/obs/metric_names.hpp"
 #include "casa/support/error.hpp"
 

@@ -7,8 +7,9 @@
 //  * preloaded loop cache + I-cache (1b) — simulate_loopcache_system
 //  * I-cache only (reference)            — simulate_cache_only
 // Each runs the replay kernel (memsim/replay.hpp) on the line model
-// cachesim::with_line_model picks: the direct-mapped tag model at one way,
-// Cache otherwise. Energies and cycles derive from the counters.
+// cachesim::with_line_model picks: the LRU tag model at one way and at 2,
+// 4 or 8 LRU ways, Cache otherwise. Energies and cycles derive from the
+// counters.
 #pragma once
 
 #include <vector>

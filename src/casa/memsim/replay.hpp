@@ -2,13 +2,13 @@
 //
 // Every line-granular replay is this loop: memsim's three simulations, the
 // two-level hierarchy, overlay phases, the conflict-graph and phase-profile
-// builds, the family conflict graphs and the batch engine's stack pass.
+// builds and the batch engine's stack pass.
 // For each executed block it routes the block to the scratchpad (Route::spm),
 // the loop cache (Route::split) or the cache, checks that a cache-bound
 // block is in the layout, sums each tier's words once, and counts the
 // replayed runs. The caller's `on_run(model, mo, run)` says what a
 // cache-bound run does — count a miss, attribute it, forward it to an L2,
-// or feed a stack observer — and returns whether it missed; misses are
+// or feed the stack engine — and returns whether it missed; misses are
 // summed per block in a register.
 //
 // The model is what on_run drives: the tag model cachesim::with_line_model

@@ -1,6 +1,6 @@
 #include "casa/memsim/two_level.hpp"
 
-#include "casa/cachesim/direct_mapped.hpp"
+#include "casa/cachesim/line_model.hpp"
 #include "casa/energy/cache_energy.hpp"
 #include "casa/energy/main_memory.hpp"
 #include "casa/energy/spm_energy.hpp"

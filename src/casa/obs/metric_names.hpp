@@ -77,8 +77,6 @@ inline constexpr std::string_view kRunnerJobsRetried = "runner.jobs_retried";
 inline constexpr std::string_view kSweepGroups = "sweep.groups";
 inline constexpr std::string_view kSweepStackPasses = "sweep.stack_passes";
 inline constexpr std::string_view kSweepStackHits = "sweep.stack_hits";
-inline constexpr std::string_view kSweepGraphPasses = "sweep.graph_passes";
-inline constexpr std::string_view kSweepGraphHits = "sweep.graph_hits";
 inline constexpr std::string_view kSweepFallbackConfigs =
     "sweep.fallback_configs";
 inline constexpr std::string_view kSweepDedupHits = "sweep.dedup_hits";
@@ -154,8 +152,6 @@ inline constexpr std::string_view kAll[] = {
     kSweepGroups,
     kSweepStackPasses,
     kSweepStackHits,
-    kSweepGraphPasses,
-    kSweepGraphHits,
     kSweepFallbackConfigs,
     kSweepDedupHits,
     kSweepConfigsPerPass,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <thread>
 
 #include "casa/fault/fault.hpp"
 #include "casa/obs/build_info.hpp"
@@ -15,6 +16,10 @@ namespace casa::obs {
 namespace {
 
 std::atomic<Tracer*> g_current_tracer{nullptr};
+
+/// The thread that runs static initialization, which is the process's main
+/// thread: its unnamed track reads "main" whichever thread registers first.
+const std::thread::id g_main_thread = std::this_thread::get_id();
 
 /// Each Tracer instance gets a unique generation, so a thread's cached
 /// buffer pointer can never be mistaken for one belonging to a different
@@ -108,8 +113,9 @@ Tracer::ThreadBuffer* Tracer::buffer_for_this_thread() {
   const support::ThreadIdent& ident = support::this_thread_ident();
   buf->worker_index = ident.worker_index;
   buf->label = !ident.name.empty() ? ident.name
-               : buf->tid == 0     ? std::string("main")
-                                   : "thread-" + std::to_string(buf->tid);
+               : std::this_thread::get_id() == g_main_thread
+                   ? std::string("main")
+                   : "thread-" + std::to_string(buf->tid);
   buffers_.push_back(std::move(buf));
   return buffers_.back().get();
 }

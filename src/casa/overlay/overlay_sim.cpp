@@ -2,7 +2,7 @@
 
 #include <span>
 
-#include "casa/cachesim/direct_mapped.hpp"
+#include "casa/cachesim/line_model.hpp"
 #include "casa/memsim/replay.hpp"
 #include "casa/support/error.hpp"
 

@@ -5,7 +5,7 @@
 #include <span>
 #include <utility>
 
-#include "casa/cachesim/direct_mapped.hpp"
+#include "casa/cachesim/line_model.hpp"
 #include "casa/conflict/miss_attribution.hpp"
 #include "casa/memsim/replay.hpp"
 #include "casa/support/error.hpp"

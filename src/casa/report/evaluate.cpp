@@ -1,8 +1,8 @@
 // The fault-contained entry points: Workbench::evaluate for one job and
 // the one-pass batch engine behind Workbench::evaluate_batch. Both run
 // every job phase through one retry-and-containment helper; the batch
-// engine adds deduplication, family conflict graphs and shared stack
-// replays (docs/sweep.md) on top of the stages in workbench.cpp.
+// engine adds deduplication and shared stack replays (docs/sweep.md) on top
+// of the stages in workbench.cpp.
 #include "casa/report/workbench.hpp"
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "casa/cachesim/stack_sim.hpp"
 #include "casa/check/rules.hpp"
 #include "casa/check/runner.hpp"
-#include "casa/conflict/graph_builder.hpp"
 #include "casa/fault/fault.hpp"
 #include "casa/fault/site_names.hpp"
 #include "casa/obs/metric_names.hpp"
@@ -34,11 +33,11 @@ namespace {
 namespace mn = obs::metric_names;
 namespace tn = obs::trace_names;
 
-/// A shared pass — one family conflict-graph build or one stack replay —
-/// runs only for at least this many members: distinct geometries for a
-/// family, jobs for a stack group. With the default artifact cross-check a
-/// pass also rebuilds one member directly, so a pair costs more than two
-/// direct runs (docs/sweep.md has the measurements).
+/// A stack replay runs only for a group of at least this many jobs. With
+/// the default artifact cross-check a pass also simulates one member
+/// directly, so a pair costs more than two direct runs (docs/sweep.md has
+/// the measurements). Conflict graphs are never shared: each CASA job
+/// builds its own on the tag model for its geometry.
 constexpr std::size_t kMinSharedMembers = 3;
 
 /// Stable error classification for JobResult: most-derived types first so
@@ -151,21 +150,6 @@ struct Candidates {
   std::vector<std::size_t> members;
 };
 
-/// The CASA members of one candidate set. Their conflict graphs differ only
-/// in the cache geometry, so one stack replay builds them all.
-struct GraphFamily {
-  std::vector<std::size_t> members;            ///< indices into `unique`
-  std::vector<cachesim::CacheConfig> configs;  ///< distinct geometries
-  std::vector<std::size_t> config_of;          ///< per member, into configs
-};
-
-/// The family graphs of one family task, or its degradation.
-struct FamilyGraphs {
-  std::vector<std::shared_ptr<const conflict::ConflictGraph>> graphs;
-  obs::MetricsSnapshot validation;  ///< rides with the first member
-  bool degraded = false;
-};
-
 /// What one stack replay yields for its group: per-member counters plus the
 /// stream.* quantities a direct replay records.
 struct StackPass {
@@ -270,117 +254,17 @@ std::vector<JobResult> Workbench::evaluate_batch(
   });
   std::sort(direct.begin(), direct.end());
 
-  // The CASA members of a candidate set share a trace program and layout,
-  // so their conflict graphs differ only in the cache geometry.
-  std::vector<GraphFamily> families;
-  for (const Candidates& c : candidates) {
-    GraphFamily fam;
-    for (const std::size_t u : c.members) {
-      const Job& job = jobs[unique[u]];
-      if (job.kind != Job::Kind::kCasa) continue;
-      const auto cfg =
-          std::find(fam.configs.begin(), fam.configs.end(), job.cache);
-      fam.config_of.push_back(
-          static_cast<std::size_t>(cfg - fam.configs.begin()));
-      if (cfg == fam.configs.end()) fam.configs.push_back(job.cache);
-      fam.members.push_back(u);
-    }
-    if (fam.configs.size() >= kMinSharedMembers) {
-      families.push_back(std::move(fam));
-    }
-  }
-  // Every wave below runs its tasks in job order (by first member for a
-  // family or group), so a batch schedules as its job list reads.
-  const auto by_first = [](const auto& a, const auto& b) {
-    return a.front() < b.front();
-  };
-  std::sort(families.begin(), families.end(),
-            [&](const GraphFamily& a, const GraphFamily& b) {
-              return by_first(a.members, b.members);
-            });
-
-  // A family's graphs from one shared stack replay. With artifact checking
-  // on, the first member's graph is cross-validated against a direct build
-  // before any job consumes it. A failing build degrades the family's
-  // members to their own per-job builds in containment mode and propagates
-  // under fail_fast.
-  const auto build_family = [&](std::size_t f) {
-    const GraphFamily& fam = families[f];
-    const std::size_t rep_job = unique[fam.members.front()];
-    FamilyGraphs out;
-    try {
-      const fault::ScopedArg pass_scope(rep_job);
-      fault::at(fault::site_names::kSweepGraphPass);
-      std::optional<traceopt::TraceProgram> tp;
-      {
-        const obs::TraceSpan s(tracer, tn::kTraceFormation);
-        tp.emplace(form(jobs[rep_job]));
-      }
-      std::optional<traceopt::Layout> layout;
-      {
-        const obs::TraceSpan s(tracer, tn::kLayout);
-        layout.emplace(traceopt::layout_all(*tp));
-      }
-      const obs::TraceSpan s(tracer, tn::kConflictGraph);
-      const trace::CompiledStream stream = traceopt::compile_fetch_stream(
-          *tp, *layout, jobs[rep_job].cache.line_size);
-      std::vector<conflict::ConflictGraph> graphs =
-          conflict::build_conflict_graphs(*tp, stream, walk, fam.configs);
-      if (opt_.check_artifacts) {
-        conflict::BuildOptions direct_opt;
-        direct_opt.cache = fam.configs.front();
-        const conflict::ConflictGraph built =
-            conflict::build_conflict_graph(*tp, stream, walk, direct_opt);
-        obs::MetricsRegistry chk_reg;
-        check::CheckRunner chk(shard_of(rep_job) != nullptr ? &chk_reg
-                                                            : nullptr);
-        check::check_graph_sweep(graphs.front(), built, fam.configs.front(),
-                                 chk);
-        out.validation = chk_reg.snapshot();
-        chk.throw_if_errors();
-      }
-      for (conflict::ConflictGraph& g : graphs) {
-        out.graphs.push_back(
-            std::make_shared<const conflict::ConflictGraph>(std::move(g)));
-      }
-    } catch (...) {
-      if (bopt.fail_fast) throw;
-      out = FamilyGraphs{};
-      out.degraded = true;
-      if (tracer != nullptr) {
-        tracer->instant(tn::kSweepDegraded,
-                        static_cast<double>(fam.members.size()),
-                        tn::kCatFault);
-      }
-    }
-    return out;
-  };
-
-  // Every stage but the replay, contained per job. Each member holds its
-  // own family graph reference, so a family's graphs are freed as soon as
-  // its last member is prepared.
-  std::vector<std::shared_ptr<const conflict::ConflictGraph>> graph_of(
-      unique.size());
-  std::vector<const obs::MetricsSnapshot*> validation_of(unique.size(),
-                                                         nullptr);
+  // Every stage but the replay, contained per job.
   const auto prepare = [&](std::size_t u) {
     const std::size_t job_idx = unique[u];
     // Bind the job index as the thread's fault argument: spec clauses with
     // arg=N target exactly this job, on any schedule.
     const fault::ScopedArg scope(job_idx);
-    const std::shared_ptr<const conflict::ConflictGraph> graph =
-        std::move(graph_of[u]);
     Prep p;
     std::exception_ptr error;
     p.attempts = attempt_phase(bopt, error, [&] {
       obs::MetricsRegistry attempt_reg;
-      obs::MetricsRegistry* const reg = sh != nullptr ? &attempt_reg : nullptr;
-      p.pj = prepare_job(jobs[job_idx], reg, graph.get());
-      // The family's check.* validation counters ride with its sampled
-      // member.
-      if (validation_of[u] != nullptr) {
-        attempt_reg.merge_from(*validation_of[u]);
-      }
+      p.pj = prepare_job(jobs[job_idx], sh != nullptr ? &attempt_reg : nullptr);
       p.recorded = attempt_reg.snapshot();
     });
     if (error != nullptr) p.failure = failed_job_result(error, p.attempts);
@@ -395,70 +279,29 @@ std::vector<JobResult> Workbench::evaluate_batch(
                             });
   };
 
-  // Wave 1 builds the family graphs next to every job that needs none:
-  // the other candidates' prepares and the direct jobs' whole flows. Wave 2
-  // prepares the family members.
-  std::vector<std::size_t> first_wave;
-  std::vector<std::size_t> second_wave;
-  {
-    std::vector<bool> in_family(unique.size(), false);
-    for (const GraphFamily& fam : families) {
-      for (const std::size_t u : fam.members) in_family[u] = true;
-    }
-    for (const Candidates& c : candidates) {
-      for (const std::size_t u : c.members) {
-        (in_family[u] ? second_wave : first_wave).push_back(u);
-      }
-    }
-    std::sort(first_wave.begin(), first_wave.end());
-    std::sort(second_wave.begin(), second_wave.end());
+  // One wave prepares every candidate next to the direct jobs' whole flows.
+  std::vector<std::size_t> to_prepare;
+  for (const Candidates& c : candidates) {
+    to_prepare.insert(to_prepare.end(), c.members.begin(), c.members.end());
   }
+  std::sort(to_prepare.begin(), to_prepare.end());
   struct WaveTask {
-    FamilyGraphs family;  ///< tasks [0, families)
-    Prep prep;            ///< then one per first_wave entry
-    JobResult direct;     ///< then one per direct job
+    Prep prep;         ///< tasks [0, to_prepare)
+    JobResult direct;  ///< then one per direct job
   };
   std::vector<WaveTask> wave = runner.map<WaveTask>(
-      families.size() + first_wave.size() + direct.size(),
-      [&](std::size_t t, std::uint64_t) {
+      to_prepare.size() + direct.size(), [&](std::size_t t, std::uint64_t) {
         WaveTask out;
-        if (t < families.size()) {
-          out.family = build_family(t);
-        } else if (t < families.size() + first_wave.size()) {
-          out.prep = prepare(first_wave[t - families.size()]);
+        if (t < to_prepare.size()) {
+          out.prep = prepare(to_prepare[t]);
         } else {
-          out.direct =
-              run_direct(direct[t - families.size() - first_wave.size()]);
+          out.direct = run_direct(direct[t - to_prepare.size()]);
         }
         return out;
       });
-  std::uint64_t graph_passes = 0;
-  std::uint64_t graph_hits = 0;
-  std::uint64_t degraded_groups = 0;
-  for (std::size_t f = 0; f < families.size(); ++f) {
-    FamilyGraphs& fg = wave[f].family;
-    if (fg.degraded) {
-      ++degraded_groups;
-      continue;
-    }
-    ++graph_passes;
-    graph_hits += families[f].members.size();
-    for (std::size_t k = 0; k < families[f].members.size(); ++k) {
-      graph_of[families[f].members[k]] = fg.graphs[families[f].config_of[k]];
-    }
-    fg.graphs.clear();
-    validation_of[families[f].members.front()] = &fg.validation;
-  }
   std::vector<Prep> prepared(unique.size());
-  for (std::size_t t = 0; t < first_wave.size(); ++t) {
-    prepared[first_wave[t]] = std::move(wave[families.size() + t].prep);
-  }
-  std::vector<Prep> members = runner.map<Prep>(
-      second_wave.size(), [&](std::size_t t, std::uint64_t) {
-        return prepare(second_wave[t]);
-      });
-  for (std::size_t t = 0; t < second_wave.size(); ++t) {
-    prepared[second_wave[t]] = std::move(members[t]);
+  for (std::size_t t = 0; t < to_prepare.size(); ++t) {
+    prepared[to_prepare[t]] = std::move(wave[t].prep);
   }
 
   // Within a candidate set, the prepared jobs with one scratchpad mask feed
@@ -480,7 +323,10 @@ std::vector<JobResult> Workbench::evaluate_batch(
       }
     }
   }
-  std::sort(groups.begin(), groups.end(), by_first);
+  // Groups run in job order (by first member), as every wave does, so a
+  // batch schedules as its job list reads.
+  std::sort(groups.begin(), groups.end(),
+            [](const auto& a, const auto& b) { return a.front() < b.front(); });
 
   // One replay of a group's shared stream through the stack engine. The
   // representative's trace program, layout and mask are those of every
@@ -619,9 +465,8 @@ std::vector<JobResult> Workbench::evaluate_batch(
   // Reassemble in job order: unique results land at their indices,
   // duplicates copy their representative's.
   std::vector<JobResult> by_unique(unique.size());
-  const std::size_t direct_base = families.size() + first_wave.size();
   for (std::size_t t = 0; t < direct.size(); ++t) {
-    by_unique[direct[t]] = std::move(wave[direct_base + t].direct);
+    by_unique[direct[t]] = std::move(wave[to_prepare.size() + t].direct);
   }
   for (const Candidates& c : candidates) {
     for (const std::size_t u : c.members) {
@@ -631,6 +476,7 @@ std::vector<JobResult> Workbench::evaluate_batch(
   std::uint64_t stack_passes = 0;
   std::uint64_t stack_hits = 0;
   std::uint64_t direct_finishes = direct.size();
+  std::uint64_t degraded_groups = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     for (std::size_t k = 0; k < groups[g].size(); ++k) {
       by_unique[groups[g][k]] = finished[g].results[k];
@@ -664,8 +510,6 @@ std::vector<JobResult> Workbench::evaluate_batch(
     m.add(mn::kSweepGroups, groups.size());
     m.add(mn::kSweepStackPasses, stack_passes);
     m.add(mn::kSweepStackHits, stack_hits);
-    m.add(mn::kSweepGraphPasses, graph_passes);
-    m.add(mn::kSweepGraphHits, graph_hits);
     m.add(mn::kSweepFallbackConfigs, direct_finishes);
     m.add(mn::kSweepDedupHits, jobs.size() - unique.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {

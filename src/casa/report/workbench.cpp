@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -168,8 +169,7 @@ traceopt::TraceProgram Workbench::form(const Job& job) const {
 }
 
 Workbench::PreparedJob Workbench::prepare_core(
-    const Job& job, obs::MetricsRegistry* reg, check::CheckRunner* chk,
-    const conflict::ConflictGraph* given) const {
+    const Job& job, obs::MetricsRegistry* reg, check::CheckRunner* chk) const {
   fault::at(fault::site_names::kSimPrepare);
   const cachesim::CacheConfig& cache = job.cache;
   const auto checked = [chk](const auto& rule) {
@@ -222,18 +222,13 @@ Workbench::PreparedJob Workbench::prepare_core(
 
   switch (job.kind) {
     case Job::Kind::kCasa: {
-      std::unique_ptr<conflict::ConflictGraph> built;
-      const conflict::ConflictGraph* graph = given;
+      std::optional<conflict::ConflictGraph> graph;
       {
         const obs::Span s(reg, obs::trace_names::kConflictGraph);
-        if (graph == nullptr) {
-          conflict::BuildOptions bopt;
-          bopt.cache = cache;
-          built = std::make_unique<conflict::ConflictGraph>(
-              conflict::build_conflict_graph(*tp, *pj.layout, exec_.walk,
-                                             bopt));
-          graph = built.get();
-        }
+        conflict::BuildOptions bopt;
+        bopt.cache = cache;
+        graph.emplace(
+            conflict::build_conflict_graph(*tp, *pj.layout, exec_.walk, bopt));
         if (reg != nullptr) {
           reg->add(obs::metric_names::kConflictNodes, graph->node_count());
           reg->add(obs::metric_names::kConflictEdges, graph->edge_count());
@@ -342,15 +337,14 @@ Outcome Workbench::finish_core(const PreparedJob& pj,
 Outcome Workbench::run(const Job& job, obs::MetricsRegistry* reg) const {
   const obs::Span flow(reg, flow_name(job.kind));
   const std::unique_ptr<check::CheckRunner> chk = make_checker(opt_, reg);
-  return finish_core(prepare_core(job, reg, chk.get(), nullptr), reg);
+  return finish_core(prepare_core(job, reg, chk.get()), reg);
 }
 
-Workbench::PreparedJob Workbench::prepare_job(
-    const Job& job, obs::MetricsRegistry* reg,
-    const conflict::ConflictGraph* graph) const {
+Workbench::PreparedJob Workbench::prepare_job(const Job& job,
+                                              obs::MetricsRegistry* reg) const {
   const obs::Span flow(reg, flow_name(job.kind));
   const std::unique_ptr<check::CheckRunner> chk = make_checker(opt_, reg);
-  return prepare_core(job, reg, chk.get(), graph);
+  return prepare_core(job, reg, chk.get());
 }
 
 Outcome Workbench::finish_job(const PreparedJob& pj,

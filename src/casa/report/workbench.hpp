@@ -8,10 +8,9 @@
 // this type so the methodology is identical everywhere. The whole surface
 // is two calls: evaluate(job) for one configuration, evaluate_batch(jobs)
 // for a fault-contained fan-out. evaluate_batch is also the one-pass sweep
-// engine: it deduplicates the batch, builds each CASA geometry family's
-// conflict graphs from one stack replay and finishes each group of jobs
-// that feed the cache one fetch stream from one stack replay, with
-// Outcomes bit-identical to evaluating every job alone (docs/sweep.md).
+// engine: it deduplicates the batch and finishes each group of jobs that
+// feed the cache one fetch stream from one stack replay, with Outcomes
+// bit-identical to evaluating every job alone (docs/sweep.md).
 #pragma once
 
 #include <cstdint>
@@ -39,9 +38,6 @@ class CheckRunner;
 struct BatchSummary;
 }  // namespace casa::check
 
-namespace casa::conflict {
-class ConflictGraph;
-}  // namespace casa::conflict
 
 namespace casa::sim {
 class MetricsShards;
@@ -184,10 +180,9 @@ struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial.
   unsigned threads = 0;
   /// Rethrow the lowest-indexed failed job's original exception after the
-  /// whole batch finishes; a failing shared pass (a stack replay or a
-  /// family graph build) then fails the batch too. False keeps every
-  /// failure contained in its JobResult and degrades failing shared passes
-  /// to per-job work.
+  /// whole batch finishes; a failing shared stack replay then fails the
+  /// batch too. False keeps every failure contained in its JobResult and
+  /// degrades failing shared passes to per-job work.
   bool fail_fast = true;
   /// Per-job retry budget for transient-classed failures (fault::
   /// TransientError); non-transient errors never retry.
@@ -256,13 +251,8 @@ class Workbench {
 
   /// Runs every stage of `job`'s flow except the hierarchy replay,
   /// recording the flow's spans and stage counters into `reg` (null = no
-  /// telemetry). prepare_job + finish_job ≡ evaluate(job). A CASA job may
-  /// bring its conflict graph — evaluate_batch passes the one its family
-  /// pass built for the job's trace program, layout and cache; the flow
-  /// then uses it in place of its own build and still records and checks
-  /// it. Other flows ignore it.
-  PreparedJob prepare_job(const Job& job, obs::MetricsRegistry* reg,
-                          const conflict::ConflictGraph* graph = nullptr) const;
+  /// telemetry). prepare_job + finish_job ≡ evaluate(job).
+  PreparedJob prepare_job(const Job& job, obs::MetricsRegistry* reg) const;
 
   /// Completes a prepared job by direct hierarchy simulation — the exact
   /// replay evaluate(job) performs.
@@ -286,13 +276,12 @@ class Workbench {
   /// Every Outcome is bit-identical to evaluate(job), but the batch shares
   /// work: identical jobs run once (duplicates record nothing of their
   /// own); at least three LRU jobs that feed the cache one fetch stream
-  /// replay it once through cachesim::StackSimulator; at least three LRU
-  /// CASA geometries over one trace program take their conflict graphs
-  /// from one replay. Every other job runs its whole flow in one task, as
-  /// evaluate does. With options().check_artifacts each shared pass is
-  /// cross-checked against a direct build of one member first; a pass that
-  /// fails degrades its members to per-job work unless opt.fail_fast is
-  /// set.
+  /// replay it once through cachesim::StackSimulator. Every job prepares
+  /// (and a CASA job builds its conflict graph) as evaluate does, and every
+  /// job outside such a group runs its whole flow in one task. With
+  /// options().check_artifacts each stack pass is cross-checked against a
+  /// direct simulation of one member first; a pass that fails degrades its
+  /// members to per-job work unless opt.fail_fast is set.
   ///
   /// Jobs record into a fresh per-attempt registry that merges into their
   /// shard only on success, so merged counters reflect completed jobs only;
@@ -319,8 +308,7 @@ class Workbench {
   /// The whole flow of `job`: prepare + finish under one flow span.
   Outcome run(const Job& job, obs::MetricsRegistry* reg) const;
   PreparedJob prepare_core(const Job& job, obs::MetricsRegistry* reg,
-                           check::CheckRunner* chk,
-                           const conflict::ConflictGraph* graph) const;
+                           check::CheckRunner* chk) const;
   Outcome finish_core(const PreparedJob& pj, obs::MetricsRegistry* reg) const;
   /// Completes a prepared job from counters a stack pass derived: energies
   /// via memsim::report_from_counters, plus the sim.* / cache.* telemetry a

@@ -2,9 +2,10 @@
 
 #include <string>
 #include <tuple>
+#include <type_traits>
 
 #include "casa/cachesim/cache.hpp"
-#include "casa/cachesim/direct_mapped.hpp"
+#include "casa/cachesim/line_model.hpp"
 #include "casa/support/error.hpp"
 #include "casa/support/rng.hpp"
 
@@ -167,41 +168,103 @@ TEST(Cache, SequentialScanMissRateIsPerLine) {
   EXPECT_EQ(c.hits(), static_cast<std::uint64_t>(words) - 128u);
 }
 
-TEST(DirectMappedCache, MatchesOneWayCacheUnderEveryPolicy) {
-  // Random same-line runs through the tag model and through Cache at one
-  // way: every outcome and every victim agree, whatever the policy and
-  // seed (a one-way set has one victim; Random still draws from its RNG).
-  for (const auto policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kFifo,
-        ReplacementPolicy::kRoundRobin, ReplacementPolicy::kRandom}) {
+/// Random same-line runs through LruTags<A> and through Cache of one
+/// geometry: every outcome and every victim agree at every access, and the
+/// tag model's derived evictions equal Cache's count. A quarter of the runs
+/// revisit the previous line (MRU hits); the rest draw from three times as
+/// many lines as the cache holds, so hits at every depth and evictions of
+/// every way occur.
+template <unsigned A>
+void expect_tags_match_cache(ReplacementPolicy policy, unsigned sets,
+                             Bytes line) {
+  CacheConfig cfg;
+  cfg.size = static_cast<Bytes>(sets) * A * line;
+  cfg.line_size = line;
+  cfg.associativity = A;
+  cfg.policy = policy;
+  const std::string label = std::string(to_string(policy)) + " ways=" +
+                            std::to_string(A) + " sets=" +
+                            std::to_string(sets) + " line=" +
+                            std::to_string(line);
+  LruTags<A> tags(cfg);
+  Cache cache(cfg, 7);
+  Rng rng(5 + sets + A);
+  const auto max_words = static_cast<std::uint32_t>(line / kWordBytes);
+  const std::uint64_t lines = 3ull * sets * A;
+  std::uint64_t at = 0;
+  std::uint64_t misses = 0;
+  for (int i = 0; i < 5000; ++i) {
+    if (!rng.next_bool(0.25)) at = rng.next_below(lines);
+    const auto first = static_cast<std::uint32_t>(rng.next_below(max_words));
+    const auto words =
+        static_cast<std::uint32_t>(1 + rng.next_below(max_words - first));
+    const Addr addr = at * line + first * kWordBytes;
+    const AccessResult a = tags.access_line(addr, words);
+    const AccessResult b = cache.access_line(addr, words);
+    ASSERT_EQ(a.hit, b.hit) << label << " access " << i;
+    ASSERT_EQ(a.evicted_line, b.evicted_line) << label << " access " << i;
+    misses += a.hit ? 0 : 1;
+  }
+  EXPECT_EQ(misses, cache.misses()) << label;
+  EXPECT_EQ(evictions_after(tags, misses), cache.evictions()) << label;
+}
+
+TEST(LruTags, MatchesCacheAtEveryAccess) {
+  // One way under every policy and seed (a one-way set has one victim;
+  // Random still draws from its RNG); 2, 4 and 8 ways under LRU.
+  for (const unsigned sets : {1u, 4u, 32u}) {
     for (const Bytes line : {16u, 32u}) {
-      CacheConfig cfg = dm(512, line);
-      cfg.policy = policy;
-      DirectMappedCache tags(cfg);
-      Cache cache(cfg, 7);
-      Rng rng(5);
-      const auto max_words = static_cast<std::uint32_t>(line / kWordBytes);
-      for (int i = 0; i < 5000; ++i) {
-        const auto first =
-            static_cast<std::uint32_t>(rng.next_below(max_words));
-        const auto words =
-            static_cast<std::uint32_t>(1 + rng.next_below(max_words - first));
-        const Addr addr = rng.next_below(64) * line + first * kWordBytes;
-        const AccessResult a = tags.access_line(addr, words);
-        const AccessResult b = cache.access_line(addr, words);
-        ASSERT_EQ(a.hit, b.hit) << to_string(policy) << " access " << i;
-        ASSERT_EQ(a.evicted_line, b.evicted_line)
-            << to_string(policy) << " access " << i;
+      for (const auto policy :
+           {ReplacementPolicy::kLru, ReplacementPolicy::kFifo,
+            ReplacementPolicy::kRoundRobin, ReplacementPolicy::kRandom}) {
+        expect_tags_match_cache<1>(policy, sets, line);
       }
+      expect_tags_match_cache<2>(ReplacementPolicy::kLru, sets, line);
+      expect_tags_match_cache<4>(ReplacementPolicy::kLru, sets, line);
+      expect_tags_match_cache<8>(ReplacementPolicy::kLru, sets, line);
     }
   }
 }
 
-TEST(DirectMappedCache, ValidatesItsGeometry) {
-  EXPECT_THROW(DirectMappedCache{dm(48, 16)}, PreconditionError);
+TEST(LruTags, ValidatesItsGeometry) {
+  EXPECT_THROW(LruTags<1>{dm(48, 16)}, PreconditionError);
   CacheConfig two_way = dm(512, 16);
   two_way.associativity = 2;
-  EXPECT_THROW(DirectMappedCache{two_way}, PreconditionError);
+  EXPECT_THROW(LruTags<1>{two_way}, PreconditionError);
+  EXPECT_THROW(LruTags<4>{two_way}, PreconditionError);
+  EXPECT_NO_THROW(LruTags<2>{two_way});
+  for (const auto policy :
+       {ReplacementPolicy::kFifo, ReplacementPolicy::kRoundRobin,
+        ReplacementPolicy::kRandom}) {
+    two_way.policy = policy;
+    EXPECT_THROW(LruTags<2>{two_way}, PreconditionError) << to_string(policy);
+  }
+}
+
+/// The ways of the model with_line_model hands its replay: A for
+/// LruTags<A>, 0 for Cache.
+template <class Model>
+constexpr unsigned tag_ways = 0;
+template <unsigned A>
+constexpr unsigned tag_ways<LruTags<A>> = A;
+
+TEST(LruTags, WithLineModelPicksThemForOneWayAndForLruAtTwoFourEightWays) {
+  const auto picked = [](unsigned ways, ReplacementPolicy policy) {
+    CacheConfig cfg = dm(1_KiB, 16);
+    cfg.associativity = ways;
+    cfg.policy = policy;
+    return with_line_model(cfg, 1, [](auto& model) {
+      return tag_ways<std::remove_reference_t<decltype(model)>>;
+    });
+  };
+  for (const unsigned ways : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(picked(ways, ReplacementPolicy::kLru), ways);
+  }
+  EXPECT_EQ(picked(1, ReplacementPolicy::kRandom), 1u);
+  EXPECT_EQ(picked(16, ReplacementPolicy::kLru), 0u);
+  EXPECT_EQ(picked(2, ReplacementPolicy::kFifo), 0u);
+  EXPECT_EQ(picked(4, ReplacementPolicy::kRoundRobin), 0u);
+  EXPECT_EQ(picked(8, ReplacementPolicy::kRandom), 0u);
 }
 
 // Parameterized invariants over cache geometries and policies.

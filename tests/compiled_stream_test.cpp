@@ -7,9 +7,10 @@
 // counters, byte-identical energy totals, and identical two-level counters
 // — across associativities, replacement policies (including Random with a
 // fixed seed), move-semantics layouts with unplaced objects, and loop-cache
-// replays whose region edges split same-line runs. One-way geometries replay
-// through cachesim::DirectMappedCache and the others through Cache, so the
-// configs below cover both models, mpeg's paper cache included.
+// replays whose region edges split same-line runs. One-way geometries and
+// 2-, 4- and 8-way LRU ones replay through cachesim::LruTags and the others
+// through Cache, so the configs below cover both models at several ways,
+// mpeg's paper cache included.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -76,11 +77,12 @@ struct Rig {
 };
 
 /// The cache shapes the oracle sweeps: direct-mapped LRU, 2-way LRU, 4-way
-/// Random (seeded) and direct-mapped Random (seeded) with 32-byte lines.
-/// Random is the adversarial case — any divergence in miss count or RNG
-/// draw order desynchronizes the streams instantly; at one way the line
-/// replay takes the tag model while the word oracle's Cache still draws
-/// from its RNG.
+/// Random (seeded) and direct-mapped Random (seeded) with 32-byte lines,
+/// 4-way and 8-way LRU, and 2-way FIFO. Random is the adversarial case —
+/// any divergence in miss count or RNG draw order desynchronizes the
+/// streams instantly; at one way the line replay takes the tag model while
+/// the word oracle's Cache still draws from its RNG. The LRU shapes up to
+/// 8 ways replay on the tag models, FIFO and 4-way Random on Cache.
 std::vector<cachesim::CacheConfig> oracle_configs() {
   std::vector<cachesim::CacheConfig> configs;
   {
@@ -109,6 +111,28 @@ std::vector<cachesim::CacheConfig> oracle_configs() {
     c.size = 1_KiB;
     c.line_size = 32;
     c.policy = cachesim::ReplacementPolicy::kRandom;
+    configs.push_back(c);
+  }
+  {
+    cachesim::CacheConfig c;
+    c.size = 1_KiB;
+    c.line_size = 16;
+    c.associativity = 4;
+    configs.push_back(c);
+  }
+  {
+    cachesim::CacheConfig c;
+    c.size = 2_KiB;
+    c.line_size = 32;
+    c.associativity = 8;
+    configs.push_back(c);
+  }
+  {
+    cachesim::CacheConfig c;
+    c.size = 512;
+    c.line_size = 16;
+    c.associativity = 2;
+    c.policy = cachesim::ReplacementPolicy::kFifo;
     configs.push_back(c);
   }
   return configs;
@@ -420,33 +444,38 @@ TEST(CompiledStream, LoopCacheReplayRecordsNoStreamTelemetry) {
 }
 
 TEST(CompiledStream, TwoLevelOracle) {
+  // A 1-way and a 2-way LRU L1: both replay on the tag models.
   const Rig r("g721", 16);
-  cachesim::CacheConfig l1;
-  l1.size = 512;
-  l1.line_size = 16;
-  cachesim::CacheConfig l2;
-  l2.size = 4_KiB;
-  l2.line_size = 32;
-  l2.associativity = 2;
-  const auto energies = memsim::TwoLevelEnergies::build(l1, l2, 256);
+  for (const unsigned l1_ways : {1u, 2u}) {
+    SCOPED_TRACE("L1 ways " + std::to_string(l1_ways));
+    cachesim::CacheConfig l1;
+    l1.size = 512;
+    l1.line_size = 16;
+    l1.associativity = l1_ways;
+    cachesim::CacheConfig l2;
+    l2.size = 4_KiB;
+    l2.line_size = 32;
+    l2.associativity = 2;
+    const auto energies = memsim::TwoLevelEnergies::build(l1, l2, 256);
 
-  std::vector<bool> on_spm(r.tp.object_count(), false);
-  on_spm[0] = true;
+    std::vector<bool> on_spm(r.tp.object_count(), false);
+    on_spm[0] = true;
 
-  const memsim::TwoLevelReport fast = memsim::simulate_spm_two_level(
-      r.tp, r.layout, r.exec.walk, on_spm, l1, l2, energies, 1,
-      /*use_compiled_stream=*/true);
-  const memsim::TwoLevelReport ref = memsim::simulate_spm_two_level(
-      r.tp, r.layout, r.exec.walk, on_spm, l1, l2, energies, 1,
-      /*use_compiled_stream=*/false);
+    const memsim::TwoLevelReport fast = memsim::simulate_spm_two_level(
+        r.tp, r.layout, r.exec.walk, on_spm, l1, l2, energies, 1,
+        /*use_compiled_stream=*/true);
+    const memsim::TwoLevelReport ref = memsim::simulate_spm_two_level(
+        r.tp, r.layout, r.exec.walk, on_spm, l1, l2, energies, 1,
+        /*use_compiled_stream=*/false);
 
-  EXPECT_EQ(fast.counters.total_fetches, ref.counters.total_fetches);
-  EXPECT_EQ(fast.counters.spm_accesses, ref.counters.spm_accesses);
-  EXPECT_EQ(fast.counters.l1_hits, ref.counters.l1_hits);
-  EXPECT_EQ(fast.counters.l1_misses, ref.counters.l1_misses);
-  EXPECT_EQ(fast.counters.l2_hits, ref.counters.l2_hits);
-  EXPECT_EQ(fast.counters.l2_misses, ref.counters.l2_misses);
-  EXPECT_EQ(fast.total_energy, ref.total_energy);
+    EXPECT_EQ(fast.counters.total_fetches, ref.counters.total_fetches);
+    EXPECT_EQ(fast.counters.spm_accesses, ref.counters.spm_accesses);
+    EXPECT_EQ(fast.counters.l1_hits, ref.counters.l1_hits);
+    EXPECT_EQ(fast.counters.l1_misses, ref.counters.l1_misses);
+    EXPECT_EQ(fast.counters.l2_hits, ref.counters.l2_hits);
+    EXPECT_EQ(fast.counters.l2_misses, ref.counters.l2_misses);
+    EXPECT_EQ(fast.total_energy, ref.total_energy);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "casa/conflict/graph_builder.hpp"
 #include "casa/prog/builder.hpp"
-#include "casa/support/error.hpp"
 #include "casa/trace/executor.hpp"
 #include "casa/traceopt/layout.hpp"
 #include "casa/traceopt/trace_formation.hpp"
@@ -197,7 +196,7 @@ TEST(ConflictGraph, DeterministicAcrossBuilds) {
   }
 }
 
-// ------------------------------------------------ one-pass family builds
+// ------------------------------------------- line vs word builds, per geometry
 
 /// Field-by-field equality: fetches, hits and cold misses per node, and
 /// every edge with its weight.
@@ -245,91 +244,47 @@ struct Formed {
   }
 };
 
-cachesim::CacheConfig config(Bytes line, unsigned sets, unsigned assoc,
-                             cachesim::ReplacementPolicy policy =
-                                 cachesim::ReplacementPolicy::kLru) {
+cachesim::CacheConfig config(Bytes line, unsigned sets, unsigned assoc) {
   cachesim::CacheConfig c;
   c.line_size = line;
   c.associativity = assoc;
-  c.policy = policy;
   c.size = static_cast<Bytes>(sets) * assoc * line;
   return c;
 }
 
-/// Asserts build_conflict_graphs == build_conflict_graph member by member.
-void expect_family_matches(const Formed& f,
-                           const std::vector<cachesim::CacheConfig>& configs,
-                           const std::string& label) {
-  const std::vector<ConflictGraph> graphs =
-      build_conflict_graphs(f.tp, f.stream, f.exec.walk, configs);
-  ASSERT_EQ(graphs.size(), configs.size()) << label;
-  for (std::size_t k = 0; k < configs.size(); ++k) {
-    BuildOptions opt;
-    opt.cache = configs[k];
-    const ConflictGraph want =
-        build_conflict_graph(f.tp, f.stream, f.exec.walk, opt);
-    expect_graph_eq(graphs[k], want,
-                    label + " sets=" + std::to_string(configs[k].sets()) +
-                        " assoc=" + std::to_string(configs[k].associativity) +
-                        " policy=" + cachesim::to_string(configs[k].policy));
-  }
-}
-
-/// Per-workload oracle: set counts {1..64} x associativities {1,2,4,8} at
-/// both paper line sizes, all 28 geometries from one stack replay.
+/// Per-workload oracle over a geometry family: set counts {1..64} x LRU
+/// associativities {1,2,4,8} at both paper line sizes, 28 geometries. Every
+/// member's line build, which replays on the tag model for its geometry
+/// (cachesim::LruTags<1..8>), must equal the word-granular single-config
+/// build through Cache: fetches, hits and cold misses per node, and every
+/// edge with its weight. It is the widest oracle the multi-way tag models
+/// have.
 class FamilyOracle : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FamilyOracle, EveryMemberMatchesTheSingleConfigBuild) {
   for (const Bytes line : {16u, 32u}) {
     const Formed f(GetParam(), line);
-    std::vector<cachesim::CacheConfig> configs;
     for (unsigned sets = 1; sets <= 64; sets *= 2) {
       for (const unsigned assoc : {1u, 2u, 4u, 8u}) {
-        configs.push_back(config(line, sets, assoc));
+        BuildOptions opt;
+        opt.cache = config(line, sets, assoc);
+        const ConflictGraph lines =
+            build_conflict_graph(f.tp, f.stream, f.exec.walk, opt);
+        opt.use_compiled_stream = false;
+        const ConflictGraph words =
+            build_conflict_graph(f.tp, f.layout, f.exec.walk, opt);
+        expect_graph_eq(lines, words,
+                        GetParam() + " line=" + std::to_string(line) +
+                            " sets=" + std::to_string(sets) +
+                            " assoc=" + std::to_string(assoc));
       }
     }
-    expect_family_matches(f, configs,
-                          GetParam() + " line=" + std::to_string(line));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, FamilyOracle,
                          ::testing::ValuesIn(workloads::names()),
                          [](const auto& info) { return info.param; });
-
-TEST(ConflictGraphFamily, MixedPoliciesAndDuplicatesMatch) {
-  // LRU members share the stack replay; FIFO, round-robin and random build
-  // one by one (random with the default seed, as build_conflict_graph
-  // does); the duplicated LRU config comes back twice.
-  using cachesim::ReplacementPolicy;
-  const Formed f("mpeg", 16);
-  const std::vector<cachesim::CacheConfig> configs = {
-      config(16, 16, 1),
-      config(16, 16, 2, ReplacementPolicy::kFifo),
-      config(16, 64, 2),
-      config(16, 8, 4, ReplacementPolicy::kRoundRobin),
-      config(16, 16, 4),
-      config(16, 32, 2, ReplacementPolicy::kRandom),
-      config(16, 64, 2),
-  };
-  expect_family_matches(f, configs, "mixed");
-}
-
-TEST(ConflictGraphFamily, LoneLruGeometryAndEmptyListMatch) {
-  const Formed f("adpcm", 16);
-  expect_family_matches(
-      f, {config(16, 16, 2),
-          config(16, 16, 2, cachesim::ReplacementPolicy::kFifo)},
-      "lone");
-  EXPECT_TRUE(build_conflict_graphs(f.tp, f.stream, f.exec.walk, {}).empty());
-}
-
-TEST(ConflictGraphFamily, RejectsAForeignLineSize) {
-  const Formed f("adpcm", 16);
-  EXPECT_THROW(build_conflict_graphs(f.tp, f.stream, f.exec.walk,
-                                     {config(16, 16, 1), config(32, 16, 1)}),
-               PreconditionError);
-}
 
 }  // namespace
 }  // namespace casa::conflict

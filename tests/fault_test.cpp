@@ -549,54 +549,5 @@ TEST_F(FaultTest, SweepUnderFaultIsThreadCountInvariant) {
   }
 }
 
-/// One CASA geometry family (jobs 0-2: three LRU geometries at one SPM
-/// size, rep_job = 0) next to a CASA job of another SPM size that builds
-/// its own graph.
-std::vector<Job> graph_family_jobs() {
-  return {Job::casa_job(cache_cfg(256, 1), 256),
-          Job::casa_job(cache_cfg(512, 2), 256),
-          Job::casa_job(cache_cfg(1024, 4), 256),
-          Job::casa_job(cache_cfg(512, 2), 512)};
-}
-
-TEST_F(FaultTest, GraphPassFaultDegradesThatFamilyToPerJobBuilds) {
-  const std::vector<Job> jobs = graph_family_jobs();
-  BatchOptions bopt;
-  bopt.threads = 2;
-  bopt.fail_fast = false;
-  bopt.retry_backoff_us = 1;
-  const std::vector<JobResult> base = bench().evaluate_batch(jobs, bopt);
-  for (const JobResult& r : base) ASSERT_TRUE(r.ok());
-
-  obs::MetricsRegistry reg;
-  report::WorkbenchOptions wopt;
-  wopt.metrics = &reg;
-  const Workbench instrumented(adpcm(), wopt);
-  fault::arm(fault::parse_spec(
-      spec_for(sites::kSweepGraphPass, "throw", "arg=0")));
-  const std::vector<JobResult> got = instrumented.evaluate_batch(jobs, bopt);
-  fault::disarm();
-  ASSERT_EQ(got.size(), base.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok()) << "job " << i;
-    expect_outcome_eq(got[i].outcome, base[i].outcome, i);
-  }
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("sweep.degraded_groups"), 1u);
-  EXPECT_EQ(snap.counters.at("sweep.graph_passes"), 0u);
-  EXPECT_EQ(snap.counters.at("sweep.graph_hits"), 0u);
-  EXPECT_EQ(snap.counters.at("fault.injected"), 1u);
-  EXPECT_EQ(snap.counters.count("runner.jobs_failed"), 0u);
-}
-
-TEST_F(FaultTest, GraphPassFaultRethrowsUnderFailFast) {
-  fault::arm(fault::parse_spec(
-      spec_for(sites::kSweepGraphPass, "throw", "arg=0")));
-  BatchOptions bopt;
-  bopt.threads = 2;
-  EXPECT_THROW(bench().evaluate_batch(graph_family_jobs(), bopt),
-               fault::FaultError);
-}
-
 }  // namespace
 }  // namespace casa

@@ -627,6 +627,21 @@ TEST(Tracer, StartHookGivesEveryPoolWorkerATrackWithoutEvents) {
   EXPECT_EQ(labels, (std::set<std::string>{"main", "tp-0", "tp-1", "tp-2"}));
 }
 
+TEST(Tracer, MainThreadIsLabelledMainWhenAHelperRegistersFirst) {
+  // The label comes from the thread's identity, not its registration order:
+  // an unnamed helper that records first gets tid 0 and "thread-0".
+  Tracer tracer;
+  std::thread helper([&tracer] { tracer.instant("helper", 1.0, "test"); });
+  helper.join();
+  tracer.instant("main", 2.0, "test");
+  const TraceData data = tracer.drain();
+  ASSERT_EQ(data.tracks.size(), 2u);
+  EXPECT_EQ(data.tracks[0].tid, 0u);
+  EXPECT_EQ(data.tracks[0].label, "thread-0");
+  EXPECT_EQ(data.tracks[1].tid, 1u);
+  EXPECT_EQ(data.tracks[1].label, "main");
+}
+
 TEST(Tracer, WriteTraceJsonIsByteStableAndRoundTrips) {
   FakeClock clock;
   TracerOptions opt;

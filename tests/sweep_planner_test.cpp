@@ -2,7 +2,7 @@
 //
 // Workbench::evaluate_batch's contract is "every job as if evaluated alone,
 // but faster": Outcomes, per-job telemetry, and thread invariance must all
-// survive the shared family conflict graphs and stack replays. The
+// survive the shared stack replays. The
 // reference never goes through evaluate_batch: Outcomes come from per-job
 // evaluate, per-job counters from prepare_job + finish_job into a private
 // registry. The suite holds both over a mixed sweep (groupable LRU configs,
@@ -10,7 +10,7 @@
 // duplicates) and over CASA jobs sharing a trace program across several
 // LRU geometries, at 1 and 3 threads; it also pins the sweep.* planning
 // metrics, the three-member threshold for shared passes, batch job
-// deduplication, and the sweep.stack.mismatch / sweep.graph.mismatch rules.
+// deduplication, and the sweep.stack.mismatch rule.
 // The SweepPlanner suite is named for the one-pass sweep planner that
 // evaluate_batch implements.
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "casa/check/diagnostic.hpp"
 #include "casa/check/rules.hpp"
 #include "casa/check/runner.hpp"
-#include "casa/conflict/graph_builder.hpp"
 #include "casa/obs/metrics.hpp"
 #include "casa/obs/tracer.hpp"
 #include "casa/report/workbench.hpp"
@@ -74,10 +73,10 @@ std::vector<Job> mixed_jobs() {
   return jobs;
 }
 
-/// CASA jobs whose conflict graphs come from one family pass: one line and
-/// SPM size over four LRU geometries (one repeated with other solver
-/// options, so a graph serves two jobs), plus a FIFO job and a lone
-/// geometry at another SPM size that build their own graphs.
+/// CASA jobs sharing one trace program across geometries: one line and SPM
+/// size over four LRU geometries (one repeated with other solver options),
+/// plus a FIFO job and a lone geometry at another SPM size. Each builds its
+/// own conflict graph, as evaluate does.
 std::vector<Job> casa_family_jobs() {
   std::vector<Job> jobs;
   jobs.push_back(Job::casa_job(cache_cfg(256, 1), 256));
@@ -293,32 +292,10 @@ TEST(SweepPlanner, CasaFamilyMatchesEvaluateBatch) {
   }
 }
 
-TEST(SweepPlanner, CountsGraphPassesThreadInvariantly) {
-  const prog::Program program = workloads::by_name("mpeg");
-  const std::vector<Job> jobs = casa_family_jobs();
-  const auto run_at = [&](unsigned threads) {
-    obs::MetricsRegistry reg;
-    report::WorkbenchOptions wopt;
-    wopt.metrics = &reg;
-    const Workbench bench(program, wopt);
-    report::BatchOptions bopt;
-    bopt.threads = threads;
-    bench.evaluate_batch(jobs, bopt);
-    return reg.snapshot().counters;
-  };
-  const auto one = run_at(1);
-  // One family: the four LRU geometries at 256 B, five jobs. The FIFO job
-  // and the lone 512 B geometry build their own graphs.
-  EXPECT_EQ(one.at("sweep.graph_passes"), 1u);
-  EXPECT_EQ(one.at("sweep.graph_hits"), 5u);
-  EXPECT_EQ(one.count("sweep.degraded_groups"), 0u);
-  EXPECT_EQ(run_at(3), one);
-}
-
 /// A pair gains nothing from a shared pass (with the default cross-check
-/// it costs more than two direct runs): a CASA family of two geometries
-/// and an LRU stream of two cache-only geometries finish per job, and a
-/// third geometry in each earns each its pass.
+/// it costs more than two direct runs): two CASA geometries and an LRU
+/// stream of two cache-only geometries finish per job, and a third
+/// cache-only geometry earns its stream a stack pass.
 TEST(EvaluateBatch, SharedPassesNeedThreeMembers) {
   const prog::Program program = workloads::by_name("adpcm");
   const Workbench reference(program);
@@ -344,37 +321,13 @@ TEST(EvaluateBatch, SharedPassesNeedThreeMembers) {
   };
 
   const auto pairs = counters_of(jobs);
-  EXPECT_EQ(pairs.at("sweep.graph_passes"), 0u);
   EXPECT_EQ(pairs.at("sweep.stack_passes"), 0u);
   EXPECT_EQ(pairs.at("sweep.fallback_configs"), jobs.size());
 
   jobs.push_back(Job::casa_job(cache_cfg(1024, 4), 256));
   jobs.push_back(Job::cache_only_job(cache_cfg(512, 2)));
   const auto trios = counters_of(jobs);
-  EXPECT_EQ(trios.at("sweep.graph_passes"), 1u);
-  EXPECT_EQ(trios.at("sweep.graph_hits"), 3u);
   EXPECT_GE(trios.at("sweep.stack_passes"), 1u);
-}
-
-TEST(CheckGraphSweep, PassesOnEqualGraphsAndFlagsDivergence) {
-  const conflict::ConflictGraph a(2, {10, 20}, {1, 2}, {8, 15},
-                                  {{MemoryObjectId(0), MemoryObjectId(1), 1},
-                                   {MemoryObjectId(1), MemoryObjectId(0), 3}});
-  check::CheckRunner ok_runner;
-  check::check_graph_sweep(a, a, cache_cfg(256, 1), ok_runner);
-  EXPECT_TRUE(ok_runner.ok());
-  EXPECT_EQ(ok_runner.rules_evaluated(), 1u);
-
-  // Node 1 lost a hit to an extra conflict miss, and the edge set moved.
-  const conflict::ConflictGraph b(2, {10, 20}, {1, 2}, {8, 14},
-                                  {{MemoryObjectId(0), MemoryObjectId(1), 1},
-                                   {MemoryObjectId(1), MemoryObjectId(0), 4}});
-  check::CheckRunner runner;
-  check::check_graph_sweep(b, a, cache_cfg(256, 1), runner);
-  EXPECT_FALSE(runner.ok());
-  EXPECT_EQ(runner.error_count(), 2u);  // node 1 and the edge list
-  EXPECT_EQ(runner.diagnostics()[0].rule, "sweep.graph.mismatch");
-  EXPECT_THROW(runner.throw_if_errors(), check::CheckError);
 }
 
 TEST(RunMany, DeduplicatesIdenticalJobs) {

@@ -4,18 +4,18 @@
 # Runs build/bench/cachesim_throughput with a short measurement window and
 # compares every benchmark's items_per_second against the checked-in
 # baseline (BENCH_cachesim.json at the repo root). Fails when any benchmark
-# regresses by more than TOLERANCE (default 20%). Also asserts eight
+# regresses by more than TOLERANCE (default 20%). Also asserts nine
 # current-run invariants, each a ratio of two kernels from the same run:
 #   - BM_ConflictGraphBuild >= 2x BM_ConflictGraphBuildWordRef (compiled
 #     streams);
-#   - BM_ConflictGraphBuild >= 2x BM_ConflictGraphBuildTwoWay and
-#     BM_HierarchySimulation >= 2x BM_HierarchySimulationTwoWay (mpeg's
-#     1-way paper cache replays on the direct-mapped tag model, its 2-way
-#     twin on the generic Cache, so a silent fallback fails);
+#   - BM_ConflictGraphBuild and BM_ConflictGraphBuildTwoWay >= 2x
+#     BM_ConflictGraphBuildTwoWayFifo, and BM_HierarchySimulation and
+#     BM_HierarchySimulationTwoWay >= 2x BM_HierarchySimulationTwoWayFifo
+#     (mpeg's 1-way paper cache and its 2-way LRU twin replay on the tag
+#     models, the 2-way FIFO twin on the generic Cache, so a silent
+#     fallback fails);
 #   - BM_StackSweep >= 3x BM_StackSweepPerConfigRef (one-pass
 #     multi-config simulation);
-#   - BM_ConflictGraphFamily >= 2x BM_ConflictGraphFamilyPerConfigRef
-#     (every conflict graph of a geometry family from one stack replay);
 #   - BM_TraceOverheadNull >= 0.85x BM_TraceOverheadOff (a detached
 #     obs::Span is within measurement noise of no span at all);
 #   - BM_FaultCheckOff >= 0.85x BM_TraceOverheadOff (a disarmed fault::at
@@ -228,31 +228,33 @@ elif current:
                 f"{name}: required by the compiled-stream speedup "
                 "invariant but absent from this run")
 
-# Direct-mapped invariants: mpeg's paper cache is 1-way, so its line
-# replays run on cachesim::DirectMappedCache; the TwoWay twins replay the
-# same stream through the generic Cache. Each 1-way kernel must stay >= 2x
-# its twin (measured 3.2-4.1x when the gates were added), so a replay that
-# silently falls back to the generic path fails here.
+# Tag-model invariants: mpeg's paper cache is 1-way, so its line replays
+# run on cachesim::LruTags<1>, and its 2-way LRU twins on LruTags<2>; the
+# TwoWayFifo twins replay the same stream at 2 FIFO ways through the
+# generic Cache. Each tag-model kernel must stay >= 2x its FIFO twin, so a
+# replay that silently falls back to the generic path fails here.
 for fast_name, ref_name, what in (
-        ("BM_ConflictGraphBuild", "BM_ConflictGraphBuildTwoWay",
-         "conflict build"),
-        ("BM_HierarchySimulation", "BM_HierarchySimulationTwoWay",
-         "hierarchy simulation")):
+        ("BM_ConflictGraphBuild", "BM_ConflictGraphBuildTwoWayFifo",
+         "conflict build, 1-way"),
+        ("BM_ConflictGraphBuildTwoWay", "BM_ConflictGraphBuildTwoWayFifo",
+         "conflict build, 2-way LRU"),
+        ("BM_HierarchySimulation", "BM_HierarchySimulationTwoWayFifo",
+         "hierarchy simulation, 1-way"),
+        ("BM_HierarchySimulationTwoWay", "BM_HierarchySimulationTwoWayFifo",
+         "hierarchy simulation, 2-way LRU")):
     fast = current.get(fast_name)
     ref = current.get(ref_name)
     if fast and ref:
         speedup = fast / ref
-        print(f"direct-mapped speedup ({what}, 1-way vs 2-way): "
-              f"{speedup:.2f}x")
+        print(f"tag-model speedup ({what} vs 2-way FIFO): {speedup:.2f}x")
         if speedup < 2.0:
             failures.append(
-                f"direct-mapped {what} speedup {speedup:.2f}x < 2.0x "
-                "required")
+                f"tag-model {what} speedup {speedup:.2f}x < 2.0x required")
     elif current:
         for name in (fast_name, ref_name):
             if not current.get(name):
                 failures.append(
-                    f"{name}: required by the direct-mapped speedup "
+                    f"{name}: required by the tag-model speedup "
                     "invariant but absent from this run")
 
 # Null-tracer invariant: with no registry and no tracer attached, an
@@ -312,27 +314,6 @@ elif current:
         if not current.get(name):
             failures.append(
                 f"{name}: required by the one-pass sweep speedup "
-                "invariant but absent from this run")
-
-# Family-graph invariant: building all 12 conflict graphs of a geometry
-# family from one stack replay must stay >= 2x faster than 12 per-config
-# builds on the same stream (measured 2.96-3.50x when the gate was added;
-# it reads 2.1-2.2x since the per-config reference builds its four 1-way
-# graphs on the direct-mapped tag model).
-fast = current.get("BM_ConflictGraphFamily")
-ref = current.get("BM_ConflictGraphFamilyPerConfigRef")
-if fast and ref:
-    speedup = fast / ref
-    print(f"family conflict-graph speedup (12-config family): {speedup:.2f}x")
-    if speedup < 2.0:
-        failures.append(
-            f"family conflict-graph speedup {speedup:.2f}x < 2.0x required")
-elif current:
-    for name in ("BM_ConflictGraphFamily",
-                 "BM_ConflictGraphFamilyPerConfigRef"):
-        if not current.get(name):
-            failures.append(
-                f"{name}: required by the family conflict-graph speedup "
                 "invariant but absent from this run")
 
 # Serve-cache invariant: a content-addressed hit (key + LRU lookup +
