@@ -11,6 +11,9 @@
 // …TwoWay twins replay the same stream at 2 LRU ways on LruTags<2>, and
 // their …TwoWayFifo twins at 2 FIFO ways on the generic Cache, so each
 // tag-model kernel's ratio to its FIFO twin is the tag model's speedup.
+// BM_HierarchySimulation replays mpeg's walk along its repeat schedule;
+// BM_HierarchySimulationFlatWalk replays the same walk with the schedule
+// cleared, so their ratio is the schedule's speedup.
 // The one-pass pair (BM_StackSweep vs …PerConfigRef) measures one stack
 // replay of a geometry family against one replay per configuration.
 // BM_ParallelSweep runs a
@@ -117,17 +120,23 @@ void BM_RawCacheAccessLine(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(fetched));
 }
 
-void BM_Executor(benchmark::State& state) {
+void executor(benchmark::State& state, bool record_walk) {
   const prog::Program program = workloads::make_mpeg();
   for (auto _ : state) {
     trace::ExecutorOptions opt;
-    opt.record_walk = false;
+    opt.record_walk = record_walk;
     benchmark::DoNotOptimize(trace::Executor::run(program, opt));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(pipeline().exec.total_fetches));
 }
+
+// The profile alone.
+void BM_Executor(benchmark::State& state) { executor(state, false); }
+
+// The profile, the walk and its repeat schedule: what a Workbench runs.
+void BM_ExecutorWalk(benchmark::State& state) { executor(state, true); }
 
 // Lowering a layout into line runs — the fixed cost the compiled-stream
 // consumers pay per simulation call. O(static code), not O(trace).
@@ -198,22 +207,37 @@ void BM_ConflictGraphBuildWordRef(benchmark::State& state) {
 }
 
 void hierarchy_simulation(benchmark::State& state,
-                          const cachesim::CacheConfig& cache) {
+                          const cachesim::CacheConfig& cache,
+                          const trace::BlockWalk& walk) {
   const Pipeline& p = pipeline();
   const auto energies = energy::EnergyTable::build(cache, 512, 0, 0);
   const std::vector<bool> none(p.tp.object_count(), false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(memsim::simulate_spm_system(
-        p.tp, p.layout, p.exec.walk, none, cache, energies));
+        p.tp, p.layout, walk, none, cache, energies));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(p.exec.total_fetches));
 }
+void hierarchy_simulation(benchmark::State& state,
+                          const cachesim::CacheConfig& cache) {
+  hierarchy_simulation(state, cache, pipeline().exec.walk);
+}
 
-// The one-way tag model (mpeg's paper cache is 1-way).
+// The one-way tag model (mpeg's paper cache is 1-way), along the walk's
+// repeat schedule.
 void BM_HierarchySimulation(benchmark::State& state) {
   hierarchy_simulation(state, mpeg_cache(1));
+}
+
+// The same replay of the walk with its repeat schedule cleared, so every
+// loop iteration replays. tools/bench_check.sh gates BM_HierarchySimulation
+// >= 1.3x this.
+void BM_HierarchySimulationFlatWalk(benchmark::State& state) {
+  trace::BlockWalk flat;
+  flat.seq = pipeline().exec.walk.seq;
+  hierarchy_simulation(state, mpeg_cache(1), flat);
 }
 
 // The same stream at 2 LRU ways: the two-way tag model.
@@ -472,12 +496,14 @@ void BM_ServeCacheHit(benchmark::State& state) {
 BENCHMARK(BM_RawCacheAccess)->Arg(1)->Arg(2)->Arg(4);
 BENCHMARK(BM_RawCacheAccessLine)->Arg(1)->Arg(2)->Arg(4);
 BENCHMARK(BM_Executor)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExecutorWalk)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompiledStreamBuild);
 BENCHMARK(BM_ConflictGraphBuild)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConflictGraphBuildTwoWay)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConflictGraphBuildTwoWayFifo)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ConflictGraphBuildWordRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulation)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HierarchySimulationFlatWalk)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationTwoWay)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationTwoWayFifo)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationWordRef)->Unit(benchmark::kMillisecond);

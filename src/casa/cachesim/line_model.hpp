@@ -16,6 +16,12 @@
 // one victim, so LRU, FIFO, round-robin and random all evict it. LruTags
 // with more ways models LRU only.
 //
+// Its whole state is each set's recency order, so replaying an access
+// sequence from the state it left once leaves that state again: the replay
+// kernel (memsim/replay.hpp) replays a walk's repeated loop iterations on
+// it once, weighted, instead of copy by copy. Cache keeps FIFO stamps,
+// round-robin cursors and a random stream, so it replays every copy.
+//
 // Every single-configuration line replay (memsim/replay.hpp's kernel in
 // memsim, two-level L1, overlay, conflict graphs and phase profiles) takes
 // its model from with_line_model below: LruTags at one way, and at 2, 4 or
@@ -42,6 +48,8 @@ class LruTags {
 
  public:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  /// The state is a recency order (memsim::RecencyState).
+  static constexpr bool kRecencyState = true;
 
   /// Validates `config` (CacheConfig::validate) and requires A ways, and
   /// LRU when A > 1; the policy is irrelevant at one way and accepted as

@@ -62,8 +62,8 @@ StackSimulator::StackSimulator(ConfigFamily family)
   cold_hist_.assign(levels_.size() * (a_max_ + 1), 0);
 }
 
-void StackSimulator::access_line(Addr addr, std::uint32_t words) {
-  total_words_ += words;
+void StackSimulator::access_line(Addr addr, std::uint32_t words,
+                                 std::uint64_t weight) {
   const std::uint64_t line = addr >> offset_shift_;
 
   if (line >= line_id_.size()) {
@@ -77,6 +77,7 @@ void StackSimulator::access_line(Addr addr, std::uint32_t words) {
     node = slot - 1;
   } else {
     // First touch: mint a dense id with unlinked handles at every level.
+    CASA_CHECK(weight == 1, "a weighted access must not be a first touch");
     ++cold_runs_;
     node = lines_++;
     line_id_[line] = node + 1;
@@ -85,6 +86,7 @@ void StackSimulator::access_line(Addr addr, std::uint32_t words) {
       prev_[i].push_back(kNil);
     }
   }
+  total_words_ += words * weight;
 
   // At each kept level the accessed line's set list holds, MRU-first, the
   // distinct lines of its cache set. Its position there is the per-set
@@ -106,7 +108,7 @@ void StackSimulator::access_line(Addr addr, std::uint32_t words) {
       ++d;
       cur = nxt[cur];
     }
-    ++hist[i * (a_max_ + 1) + d];
+    hist[i * (a_max_ + 1) + d] += weight;
 
     if (head == node) continue;  // already MRU
     if (reuse) {

@@ -23,7 +23,10 @@
 //
 // The batch engine's stack pass (Workbench::evaluate_batch) feeds it runs
 // through the replay kernel (memsim/replay.hpp) and finishes each group
-// member from its counters. Conflict graphs are built per geometry on the
+// member from its counters. Its state is a set of recency lists, so the
+// kernel replays a walk's repeated loop iterations on it once: the second
+// copy's accesses arrive with the weight of every later copy, which see
+// the same stack distances. Conflict graphs are built per geometry on the
 // tag models (cachesim/line_model.hpp), which keep one recency list per set
 // of a single geometry. Only LRU has the inclusion property: a non-LRU
 // member is a PreconditionError, and callers replay those geometries one
@@ -70,6 +73,9 @@ struct StackCounters {
 
 class StackSimulator {
  public:
+  /// The state is a recency order (memsim::RecencyState).
+  static constexpr bool kRecencyState = true;
+
   /// Validates `family` (ConfigFamily::validate).
   explicit StackSimulator(ConfigFamily family);
 
@@ -77,8 +83,11 @@ class StackSimulator {
   void access(Addr addr) { access_line(addr, 1); }
 
   /// Same contract as Cache::access_line: `words` consecutive word fetches
-  /// all inside the memory line containing `addr`.
-  void access_line(Addr addr, std::uint32_t words);
+  /// all inside the memory line containing `addr`. The access counts
+  /// `weight` times in the histograms and the word total, as if it recurred
+  /// that often at the same stack distance; the recency lists move once.
+  /// A first touch must have weight 1.
+  void access_line(Addr addr, std::uint32_t words, std::uint64_t weight = 1);
 
   /// Counters for one configuration, as if a fresh Cache had replayed the
   /// whole access sequence. The configuration needs LRU, the family's line

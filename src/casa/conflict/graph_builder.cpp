@@ -52,7 +52,7 @@ ConflictGraph replay_lines(const traceopt::TraceProgram& tp,
     memsim::ReplayTally t;
     memsim::replay(cache,
                    {.tp = &tp, .stream = &stream, .object_words = st.fetches},
-                   walk.seq, t, st);
+                   walk, t, st);
   });
   return st.finish();
 }

@@ -28,28 +28,31 @@ class MissAttribution {
   std::vector<std::uint64_t> fetches;  ///< per object, added by the replay
   std::vector<std::uint64_t> cold;     ///< per object
 
-  /// One missing line access by `mo`: charge it to its recorded evictor or
-  /// count it cold, and record `mo` as the evictor of `evicted_line`.
+  /// One missing line access by `mo`, standing for `weight` equal misses
+  /// (a repeated loop iteration's, memsim/replay.hpp): charge them to the
+  /// recorded evictor or count them cold, and record `mo` as the evictor of
+  /// `evicted_line`.
   void on_miss(MemoryObjectId mo, std::uint64_t line,
-               std::optional<std::uint64_t> evicted_line) {
+               std::optional<std::uint64_t> evicted_line,
+               std::uint64_t weight = 1) {
     MemoryObjectId& ev = evictor(line);
     if (!ev.valid()) {
-      ++cold[mo.index()];
+      cold[mo.index()] += weight;
     } else {
-      pairs_.increment((static_cast<std::uint64_t>(mo.value()) << 32) |
-                       ev.value());
+      pairs_.add((static_cast<std::uint64_t>(mo.value()) << 32) | ev.value(),
+                 weight);
       ev = MemoryObjectId::invalid();
     }
     if (evicted_line.has_value()) evictor(*evicted_line) = mo;
   }
 
   /// memsim::replay's on_run: replays one same-line run of `mo` on `cache`
-  /// and attributes its miss (only the first word can miss).
+  /// and attributes its miss (only the first word can miss) `weight` times.
   template <class CacheModel>
   bool operator()(CacheModel& cache, MemoryObjectId mo,
-                  const trace::LineRun& run) {
+                  const trace::LineRun& run, std::uint64_t weight) {
     const auto r = cache.access_line(run.addr, run.words);
-    if (!r.hit) on_miss(mo, run.line, r.evicted_line);
+    if (!r.hit) on_miss(mo, run.line, r.evicted_line, weight);
     return !r.hit;
   }
 
@@ -71,7 +74,7 @@ class MissAttribution {
    public:
     PairCounts() : slots_(kInitialSlots) {}
 
-    void increment(std::uint64_t key) {
+    void add(std::uint64_t key, std::uint64_t weight) {
       Slot* s = probe(key);
       if (s->key == kEmpty) {
         if (2 * (used_ + 1) > slots_.size()) {
@@ -81,7 +84,7 @@ class MissAttribution {
         s->key = key;
         ++used_;
       }
-      ++s->count;
+      s->count += weight;
     }
 
     /// One edge per counted pair, in slot order.

@@ -114,19 +114,22 @@ SimReport run(const traceopt::TraceProgram& tp, const traceopt::Layout& layout,
     cachesim::with_line_model(cache_cfg, opt.seed, [&](auto& cache) {
       replay(cache,
              {.tp = &tp, .stream = &stream, .spm = &spm_mo, .split = cut},
-             walk.seq, t, CountMisses{});
+             walk, t, CountMisses{});
       t.cache_evictions = cachesim::evictions_after(cache, t.cache_misses);
     });
     c = counters_from_tally(t, cache_cfg.line_size, opt.latency);
     if (opt.metrics != nullptr && regions == nullptr) {
       // Compiled-stream run-length telemetry: static runs in the compiled
-      // image, dynamic runs replayed, and the words they collapsed. Scoped
-      // to scratchpad and cache-only replays.
+      // image, dynamic runs replayed, and the words they collapsed, all as
+      // the flat walk counts them; and the blocks the repeat schedule
+      // skipped. Scoped to scratchpad and cache-only replays.
       opt.metrics->add(obs::metric_names::kStreamCompiledRuns,
                        stream.total_runs());
       opt.metrics->add(obs::metric_names::kStreamReplayedRuns, t.cache_runs);
       opt.metrics->add(obs::metric_names::kStreamReplayedWords,
                        c.cache_accesses);
+      opt.metrics->add(obs::metric_names::kStreamSkippedBlocks,
+                       t.skipped_blocks);
     }
   } else {
     c = run_words(tp, layout, walk, spm_mo, regions, cache_cfg, opt);

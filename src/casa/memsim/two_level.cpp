@@ -1,5 +1,7 @@
 #include "casa/memsim/two_level.hpp"
 
+#include <span>
+
 #include "casa/cachesim/line_model.hpp"
 #include "casa/energy/cache_energy.hpp"
 #include "casa/energy/main_memory.hpp"
@@ -65,12 +67,16 @@ TwoLevelReport simulate_spm_two_level(const traceopt::TraceProgram& tp,
     // Line runs are bounded by the (smaller) L1 line, so each run touches
     // one line at both levels; the single L2 access per L1-missing run
     // matches the word path, where only the run's first word can miss L1.
+    // The walk replays flat: the L2 sees the L1's misses, so its state
+    // settles a repeat's copy later than the L1's does.
     const trace::CompiledStream stream =
         traceopt::compile_fetch_stream(tp, layout, l1_cfg.line_size);
     ReplayTally t;
     cachesim::with_line_model(l1_cfg, seed, [&](auto& l1) {
-      replay(l1, {.tp = &tp, .stream = &stream, .spm = &on_spm}, walk.seq, t,
-             [&](auto& cache, MemoryObjectId, const trace::LineRun& run) {
+      replay(l1, {.tp = &tp, .stream = &stream, .spm = &on_spm},
+             std::span<const BasicBlockId>(walk.seq), t,
+             [&](auto& cache, MemoryObjectId, const trace::LineRun& run,
+                 std::uint64_t /*weight*/) {
                if (cache.access_line(run.addr, run.words).hit) return false;
                ++(l2.access(run.addr).hit ? c.l2_hits : c.l2_misses);
                return true;

@@ -35,6 +35,8 @@ inline constexpr std::string_view kStreamCompiledRuns = "stream.compiled_runs";
 inline constexpr std::string_view kStreamReplayedRuns = "stream.replayed_runs";
 inline constexpr std::string_view kStreamReplayedWords =
     "stream.replayed_words";
+inline constexpr std::string_view kStreamSkippedBlocks =
+    "stream.skipped_blocks";
 
 // ---- conflict graph (run_casa flow) ----
 inline constexpr std::string_view kConflictNodes = "conflict.nodes";
@@ -125,6 +127,7 @@ inline constexpr std::string_view kAll[] = {
     kStreamCompiledRuns,
     kStreamReplayedRuns,
     kStreamReplayedWords,
+    kStreamSkippedBlocks,
     kConflictNodes,
     kConflictEdges,
     kSolverNodes,

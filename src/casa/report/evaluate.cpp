@@ -156,7 +156,8 @@ struct StackPass {
   std::vector<memsim::SimCounters> counters;  ///< per group member
   std::uint64_t compiled_runs = 0;
   std::uint64_t replayed_runs = 0;
-  obs::MetricsSnapshot validation;  ///< rides with the first member
+  std::uint64_t skipped_blocks = 0;  ///< rides with the first member
+  obs::MetricsSnapshot validation;   ///< rides with the first member
 };
 
 /// A unique job after the prepare phase: the PreparedJob plus the telemetry
@@ -358,15 +359,16 @@ std::vector<JobResult> Workbench::evaluate_batch(
     memsim::replay(sim,
                    memsim::Route{.tp = rep.tp.get(), .stream = &stream,
                                  .spm = &rep.on_spm},
-                   walk.seq, t,
+                   walk, t,
                    [](cachesim::StackSimulator& s, MemoryObjectId,
-                      const trace::LineRun& run) {
-                     s.access_line(run.addr, run.words);
+                      const trace::LineRun& run, std::uint64_t weight) {
+                     s.access_line(run.addr, run.words, weight);
                      return false;  // misses are read off per member
                    });
 
     StackPass out;
     out.replayed_runs = t.cache_runs;
+    out.skipped_blocks = t.skipped_blocks;
     out.compiled_runs = stream.total_runs();
     // Each member's counters as a direct line-granular replay would have
     // derived them from its slice of the pass (finish_job's latencies).
@@ -434,7 +436,12 @@ std::vector<JobResult> Workbench::evaluate_batch(
                       reg->add(mn::kStreamReplayedRuns, pass.replayed_runs);
                       reg->add(mn::kStreamReplayedWords,
                                pass.counters[k].cache_accesses);
-                      if (k == 0) reg->merge_from(pass.validation);
+                      if (k == 0) {
+                        // The pass skipped these once, for every member.
+                        reg->add(mn::kStreamSkippedBlocks,
+                                 pass.skipped_blocks);
+                        reg->merge_from(pass.validation);
+                      }
                     }
                     return o;
                   }));

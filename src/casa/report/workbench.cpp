@@ -38,6 +38,55 @@ memsim::SimOptions sim_opts(obs::MetricsRegistry* reg) {
   return s;
 }
 
+// Caps on the job fields that size a replay's tables or a flow's search,
+// each far above every value the experiments, tests and goldens use (64 KiB
+// caches, 4 KiB scratchpads, 8 regions).
+constexpr Bytes kMaxCacheBytes = 1024_KiB;
+constexpr Bytes kMaxSizeBytes = 1024_KiB;
+constexpr unsigned kMaxRegions = 64;
+
+/// Refuses `key` of the job (`in` = "job") or of its cache (`in` =
+/// "cache"), spelled as the serve protocol spells it.
+[[noreturn]] void reject(const char* in, const char* key, std::uint64_t value,
+                         const std::string& why) {
+  throw PreconditionError(std::string(in) + " '" + key +
+                          "' = " + std::to_string(value) + ": " + why);
+}
+
+/// Checks every field `job`'s flow reads, once, before any stage runs: the
+/// cache geometry, and for the flows that read them the scratchpad or
+/// loop-cache size and the region budget. Each failure names its key.
+void validate(const Workbench::Job& job) {
+  const cachesim::CacheConfig& c = job.cache;
+  if (!is_pow2(c.size) || c.size > kMaxCacheBytes) {
+    reject("cache", "size", c.size,
+           "must be a power of two of at most " +
+               std::to_string(kMaxCacheBytes) + " bytes");
+  }
+  if (!is_pow2(c.line_size) || c.line_size < kWordBytes ||
+      c.line_size > c.size) {
+    reject("cache", "line_size", c.line_size,
+           "must be a power of two from one word to the cache size");
+  }
+  if (!is_pow2(c.associativity) ||
+      c.associativity > c.size / c.line_size) {
+    reject("cache", "associativity", c.associativity,
+           "must be a power of two of at most the cache's lines");
+  }
+  if (job.kind == Workbench::Job::Kind::kCacheOnly) return;
+  if (job.size < 2 * kWordBytes || job.size % kWordBytes != 0 ||
+      job.size > kMaxSizeBytes) {
+    reject("job", "size", job.size,
+           "must be a multiple of the 4-byte word from 8 to " +
+               std::to_string(kMaxSizeBytes) + " bytes");
+  }
+  if (job.kind == Workbench::Job::Kind::kLoopCache &&
+      (job.max_regions == 0 || job.max_regions > kMaxRegions)) {
+    reject("job", "max_regions", job.max_regions,
+           "must be from 1 to " + std::to_string(kMaxRegions));
+  }
+}
+
 /// Allocation telemetry shared by every solving flow. Counters sum across
 /// batch jobs; per-run quantities (tree depth, solve time) go in as
 /// distributions so merging keeps min/max instead of a meaningless sum.
@@ -170,6 +219,7 @@ traceopt::TraceProgram Workbench::form(const Job& job) const {
 
 Workbench::PreparedJob Workbench::prepare_core(
     const Job& job, obs::MetricsRegistry* reg, check::CheckRunner* chk) const {
+  validate(job);
   fault::at(fault::site_names::kSimPrepare);
   const cachesim::CacheConfig& cache = job.cache;
   const auto checked = [chk](const auto& rule) {

@@ -200,6 +200,13 @@ class Workbench {
   const trace::ExecutionResult& execution() const { return exec_; }
 
   /// One point of a batched sweep: which flow to run and its parameters.
+  /// Every entry point checks a job's fields once, before any stage runs:
+  /// a power-of-two cache of at most 1 MiB with lines from one word to the
+  /// cache size; for the scratchpad and loop-cache flows a word-multiple
+  /// `size` from 8 B to 1 MiB; for the loop-cache flow 1 to 64 regions. A
+  /// failure is a PreconditionError naming the key as the serve protocol
+  /// spells it (the cache's "size", "line_size" and "associativity", the
+  /// job's "size" and "max_regions").
   struct Job {
     using Kind = FlowKind;
     Kind kind = Kind::kCasa;

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "casa/prog/program.hpp"
@@ -17,11 +16,17 @@ namespace casa::trace {
 class Profile {
  public:
   explicit Profile(std::size_t block_count)
-      : block_count_(block_count, 0) {}
+      : block_count_(block_count, 0), successors_(block_count) {}
 
   void record(BasicBlockId bb) { ++block_count_[bb.index()]; }
   void record_edge(BasicBlockId from, BasicBlockId to) {
-    ++edge_count_[key(from, to)];
+    for (Successor& s : successors_[from.index()]) {
+      if (s.to == to) {
+        ++s.count;
+        return;
+      }
+    }
+    successors_[from.index()].push_back(Successor{to, 1});
   }
 
   /// Dynamic executions of `bb`.
@@ -31,8 +36,10 @@ class Profile {
 
   /// Dynamic traversals of CFG edge from -> to.
   std::uint64_t edge_count(BasicBlockId from, BasicBlockId to) const {
-    auto it = edge_count_.find(key(from, to));
-    return it == edge_count_.end() ? 0 : it->second;
+    for (const Successor& s : successors_[from.index()]) {
+      if (s.to == to) return s.count;
+    }
+    return 0;
   }
 
   /// Instruction fetches issued while executing `bb` over the whole run
@@ -48,12 +55,16 @@ class Profile {
   std::size_t block_slots() const { return block_count_.size(); }
 
  private:
-  static std::uint64_t key(BasicBlockId from, BasicBlockId to) {
-    return (static_cast<std::uint64_t>(from.value()) << 32) | to.value();
-  }
+  struct Successor {
+    BasicBlockId to;
+    std::uint64_t count = 0;
+  };
 
   std::vector<std::uint64_t> block_count_;
-  std::unordered_map<std::uint64_t, std::uint64_t> edge_count_;
+  /// Per block, each block that followed it and how often, in first-seen
+  /// order. A block has a handful of successors, so the executor's
+  /// per-block scan is cheaper than a hash probe.
+  std::vector<std::vector<Successor>> successors_;
 };
 
 }  // namespace casa::trace

@@ -1,6 +1,9 @@
 // Workbench behaviour knobs (beyond what integration_test covers).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "casa/report/workbench.hpp"
 #include "casa/workloads/workloads.hpp"
 
@@ -100,6 +103,81 @@ TEST(Workbench, SmallSpmStillWorks) {
   const Outcome o = wb.evaluate(Workbench::Job::casa_job(cache, 16)).value();
   EXPECT_LE(o.alloc().used_bytes, 16u);
   EXPECT_EQ(o.sim.counters.total_fetches, wb.execution().total_fetches);
+}
+
+TEST(Workbench, InvalidJobFieldsFailOnceNamingTheKey) {
+  // Every entry point checks a job before any stage: each of these used to
+  // fail deep inside a stage (an energy-model check, a degenerate ILP row,
+  // the cache model) or was served with unbounded tables.
+  const prog::Program program = workloads::make_adpcm();
+  const Workbench wb(program);
+  using Job = Workbench::Job;
+  const cachesim::CacheConfig good = workloads::paper_cache_for("adpcm");
+  const auto cache = [&](Bytes size, Bytes line, unsigned ways) {
+    cachesim::CacheConfig c = good;
+    c.size = size;
+    c.line_size = line;
+    c.associativity = ways;
+    return c;
+  };
+  struct Case {
+    Job job;
+    const char* names;  ///< the key the message must name
+  };
+  const std::vector<Case> cases = {
+      {Job::casa_job(good, 130), "'size' = 130"},
+      {Job::casa_job(good, 0), "'size' = 0"},
+      {Job::steinke_job(good, 4), "'size' = 4"},
+      {Job::casa_job(good, Bytes{1} << 40), "'size' = 1099511627776"},
+      {Job::loopcache_job(good, 0, 4), "'size' = 0"},
+      {Job::loopcache_job(good, 256, 0), "'max_regions' = 0"},
+      {Job::loopcache_job(good, 256, 4'000'000), "'max_regions' = 4000000"},
+      {Job::cache_only_job(cache(96, 16, 1)), "cache 'size' = 96"},
+      {Job::cache_only_job(cache(Bytes{1} << 30, 16, 1)),
+       "cache 'size' = 1073741824"},
+      {Job::casa_job(cache(1024, 2, 1), 256), "cache 'line_size' = 2"},
+      {Job::casa_job(cache(1024, 48, 1), 256), "cache 'line_size' = 48"},
+      {Job::casa_job(cache(1024, 2048, 1), 256), "cache 'line_size' = 2048"},
+      {Job::casa_job(cache(1024, 16, 3), 256), "cache 'associativity' = 3"},
+      {Job::casa_job(cache(1024, 16, 128), 256),
+       "cache 'associativity' = 128"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.names);
+    const JobResult r = wb.evaluate(c.job);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error_kind, "precondition");
+    EXPECT_NE(r.message.find(c.names), std::string::npos) << r.message;
+    EXPECT_THROW((void)wb.prepare_job(c.job, nullptr), PreconditionError);
+  }
+  // The batch engine refuses them per job and serves the rest.
+  const std::vector<Job> batch = {cases[0].job, Job::casa_job(good, 256),
+                                  cases[7].job};
+  const std::vector<JobResult> results = wb.evaluate_batch(
+      batch, BatchOptions{.threads = 1, .fail_fast = false});
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].ok());
+  EXPECT_TRUE(results[1].ok());
+  EXPECT_FALSE(results[2].ok());
+  EXPECT_EQ(results[2].error_kind, "precondition");
+
+  // The edges of each range are served: an 8 B scratchpad, 1 MiB caches
+  // and scratchpads, a cache of one line, 64 regions; cache-only ignores
+  // its size, and only the loop-cache flow reads max_regions. (A 1 MiB
+  // scratchpad pays only beside a cache as large.)
+  Job odd_size = Job::cache_only_job(good);
+  odd_size.size = 130;
+  Job steinke_regions = Job::steinke_job(good, 256);
+  steinke_regions.max_regions = 0;
+  for (const Job& ok :
+       {Job::casa_job(good, 8),
+        Job::steinke_job(cache(1024 * 1024, 16, 1), 1024 * 1024),
+        Job::cache_only_job(cache(1024 * 1024, 16, 1)),
+        Job::cache_only_job(cache(16, 16, 1)),
+        Job::loopcache_job(good, 256, 64), odd_size, steinke_regions}) {
+    const JobResult r = wb.evaluate(ok);
+    EXPECT_TRUE(r.ok()) << r.message;
+  }
 }
 
 TEST(Outcome, WrongFlowAccessThrowsStructuredFlowError) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "casa/prog/builder.hpp"
 #include "casa/trace/executor.hpp"
+#include "casa/workloads/workloads.hpp"
 
 namespace casa::trace {
 namespace {
@@ -197,6 +202,149 @@ TEST(Executor, RecordWalkOffStillProfiles) {
   const ExecutionResult r = Executor::run(p, opt);
   EXPECT_TRUE(r.walk.seq.empty());
   EXPECT_GT(r.total_fetches, 0u);
+}
+
+// ---- the repeat schedule ----
+
+/// The schedule's contract: sorted and disjoint, inside the walk, each
+/// entry at least three equal copies that skip at least the minimum.
+void expect_valid_schedule(const BlockWalk& walk) {
+  std::uint64_t prev_end = 0;
+  for (const Repeat& r : walk.repeats) {
+    ASSERT_GE(r.begin, prev_end) << "repeats overlap or are out of order";
+    ASSERT_GE(r.copies, 3u);
+    ASSERT_GT(r.period, 0u);
+    EXPECT_GE(std::uint64_t{r.copies - 2} * r.period,
+              Executor::kMinSkippedBlocks);
+    const std::uint64_t end =
+        std::uint64_t{r.begin} + std::uint64_t{r.period} * r.copies;
+    ASSERT_LE(end, walk.seq.size());
+    const auto first = walk.seq.begin() + r.begin;
+    for (std::uint32_t c = 1; c < r.copies; ++c) {
+      ASSERT_TRUE(std::equal(first, first + r.period,
+                             first + std::ptrdiff_t{c} * r.period))
+          << "copy " << c << " of the repeat at " << r.begin << " differs";
+    }
+    prev_end = end;
+  }
+}
+
+TEST(ExecutorRepeats, EqualIterationsFormOneRepeat) {
+  // pre, header, (body, latch) x trips, post.
+  const ExecutionResult r = Executor::run(loop_program(20));
+  ASSERT_EQ(r.walk.repeats.size(), 1u);
+  EXPECT_EQ(r.walk.repeats[0], (Repeat{2, 2, 20}));
+  expect_valid_schedule(r.walk);
+}
+
+TEST(ExecutorRepeats, ARunMustSkipTheMinimum) {
+  // Two blocks an iteration: trips - 2 skipped iterations skip twice that.
+  const std::int64_t enough =
+      static_cast<std::int64_t>(Executor::kMinSkippedBlocks / 2) + 2;
+  EXPECT_EQ(Executor::run(loop_program(enough)).walk.repeats.size(), 1u);
+  EXPECT_TRUE(Executor::run(loop_program(enough - 1)).walk.repeats.empty());
+  EXPECT_TRUE(Executor::run(loop_program(2)).walk.repeats.empty());
+}
+
+/// main: loop(outer) { loop(inner) { body } }. Walk: outer header, then
+/// per outer iteration the inner header, (body, inner latch) x inner and
+/// the outer latch: 2 * inner + 2 blocks.
+Program nested_program(std::int64_t outer, std::int64_t inner) {
+  ProgramBuilder b("p");
+  b.function("main", [=](FunctionScope& f) {
+    f.loop(outer, [=](FunctionScope& o) {
+      o.loop(inner, [](FunctionScope& l) { l.code(8, "body"); });
+    });
+  });
+  return b.build();
+}
+
+TEST(ExecutorRepeats, AnOuterRunReplacesTheRunsInsideWhenItSkipsMore) {
+  // 20 x 20: the outer run skips 18 * 42 = 756 blocks, its 20 inner runs
+  // 20 * 18 * 2 = 720, so the outer run stands alone.
+  const ExecutionResult a = Executor::run(nested_program(20, 20));
+  ASSERT_EQ(a.walk.repeats.size(), 1u);
+  EXPECT_EQ(a.walk.repeats[0], (Repeat{1, 42, 20}));
+  expect_valid_schedule(a.walk);
+
+  // 10 x 20: the outer run would skip 8 * 42 = 336, the inner runs 360.
+  const ExecutionResult b = Executor::run(nested_program(10, 20));
+  ASSERT_EQ(b.walk.repeats.size(), 10u);
+  for (std::uint32_t k = 0; k < 10; ++k) {
+    EXPECT_EQ(b.walk.repeats[k], (Repeat{2 + 42 * k, 2, 20}));
+  }
+  expect_valid_schedule(b.walk);
+}
+
+TEST(ExecutorRepeats, TheIterationThatEndsARunKeepsItsOwnRepeats) {
+  // Each outer iteration is one of two arms, each an inner loop of 20 equal
+  // iterations: cond, inner header, (body, latch) x 20, outer latch = 43
+  // blocks. Long runs of the likelier arm are recorded whole; the iteration
+  // that ends such a run was walked before the run closed, and its inner
+  // repeat must survive the run's recording.
+  ProgramBuilder b("p");
+  b.function("main", [](FunctionScope& f) {
+    f.loop(3000, [](FunctionScope& o) {
+      o.if_else(
+          0.95,
+          [](FunctionScope& t) {
+            t.loop(20, [](FunctionScope& l) { l.code(8, "x"); });
+          },
+          [](FunctionScope& e) {
+            e.loop(20, [](FunctionScope& l) { l.code(8, "y"); });
+          });
+    });
+  });
+  const ExecutionResult r = Executor::run(b.build());
+  expect_valid_schedule(r.walk);
+  bool outer_run = false;
+  for (const Repeat& rep : r.walk.repeats) outer_run |= rep.period == 43;
+  EXPECT_TRUE(outer_run);
+  // Every inner loop lies inside a repeat: its own, or an outer run's.
+  std::vector<bool> covered(r.walk.seq.size(), false);
+  for (const Repeat& rep : r.walk.repeats) {
+    for (std::uint64_t k = 0; k < std::uint64_t{rep.period} * rep.copies;
+         ++k) {
+      covered[rep.begin + k] = true;
+    }
+  }
+  for (std::size_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(covered[1 + 43 * i + 2]) << "outer iteration " << i;
+  }
+}
+
+TEST(ExecutorRepeats, UnequalIterationsSplitRuns) {
+  // A coin flip per iteration: runs of equal arms form and break.
+  ProgramBuilder b("p");
+  b.function("main", [](FunctionScope& f) {
+    f.loop(4000, [](FunctionScope& l) {
+      l.if_else(0.9, [](FunctionScope& t) { t.code(8, "t"); },
+                [](FunctionScope& e) { e.code(8, "e"); });
+    });
+  });
+  const ExecutionResult r = Executor::run(b.build());
+  EXPECT_GT(r.walk.repeats.size(), 10u);
+  expect_valid_schedule(r.walk);
+}
+
+TEST(ExecutorRepeats, RecordWalkOffRecordsNoSchedule) {
+  ExecutorOptions opt;
+  opt.record_walk = false;
+  EXPECT_TRUE(Executor::run(loop_program(50), opt).walk.repeats.empty());
+}
+
+TEST(ExecutorRepeats, EveryWorkloadAndSeedKeepsTheContract) {
+  for (const std::string& name : workloads::names()) {
+    const Program p = workloads::by_name(name);
+    for (const std::uint64_t seed : {1ull, 42ull, 2026ull}) {
+      SCOPED_TRACE(name + " seed " + std::to_string(seed));
+      ExecutorOptions opt;
+      opt.seed = seed;
+      const ExecutionResult r = Executor::run(p, opt);
+      EXPECT_FALSE(r.walk.repeats.empty());
+      expect_valid_schedule(r.walk);
+    }
+  }
 }
 
 }  // namespace

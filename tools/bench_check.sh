@@ -4,7 +4,7 @@
 # Runs build/bench/cachesim_throughput with a short measurement window and
 # compares every benchmark's items_per_second against the checked-in
 # baseline (BENCH_cachesim.json at the repo root). Fails when any benchmark
-# regresses by more than TOLERANCE (default 20%). Also asserts nine
+# regresses by more than TOLERANCE (default 20%). Also asserts ten
 # current-run invariants, each a ratio of two kernels from the same run:
 #   - BM_ConflictGraphBuild >= 2x BM_ConflictGraphBuildWordRef (compiled
 #     streams);
@@ -14,6 +14,9 @@
 #     (mpeg's 1-way paper cache and its 2-way LRU twin replay on the tag
 #     models, the 2-way FIFO twin on the generic Cache, so a silent
 #     fallback fails);
+#   - BM_HierarchySimulation >= 1.3x BM_HierarchySimulationFlatWalk (mpeg's
+#     walk along its repeat schedule against the same walk with the
+#     schedule cleared, so a replay that stops taking the schedule fails);
 #   - BM_StackSweep >= 3x BM_StackSweepPerConfigRef (one-pass
 #     multi-config simulation);
 #   - BM_TraceOverheadNull >= 0.85x BM_TraceOverheadOff (a detached
@@ -256,6 +259,25 @@ for fast_name, ref_name, what in (
                 failures.append(
                     f"{name}: required by the tag-model speedup "
                     "invariant but absent from this run")
+
+# Repeat-schedule invariant: mpeg's 1-way simulation replays each run of
+# equal loop iterations once, weighted (memsim/replay.hpp); the FlatWalk
+# twin replays the same walk with its schedule cleared. 1.6-1.7x on the
+# recording host; a kernel that ignores the schedule reads about 1.0x.
+fast = current.get("BM_HierarchySimulation")
+ref = current.get("BM_HierarchySimulationFlatWalk")
+if fast and ref:
+    speedup = fast / ref
+    print(f"repeat-schedule speedup (hierarchy simulation): {speedup:.2f}x")
+    if speedup < 1.3:
+        failures.append(
+            f"repeat-schedule speedup {speedup:.2f}x < 1.3x required")
+elif current:
+    for name in ("BM_HierarchySimulation", "BM_HierarchySimulationFlatWalk"):
+        if not current.get(name):
+            failures.append(
+                f"{name}: required by the repeat-schedule speedup "
+                "invariant but absent from this run")
 
 # Null-tracer invariant: with no registry and no tracer attached, an
 # obs::Span must cost one relaxed atomic load — the instrumented hot paths

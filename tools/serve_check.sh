@@ -34,7 +34,12 @@
 #   * run I: "ilp_threads":100000, above the thread-pool cap — the job
 #     fails with error_kind "precondition" instead of aborting the process,
 #     and the same session then serves the next request; --threads above
-#     the cap fails at startup.
+#     the cap fails at startup;
+#   * run J: job fields outside their ranges ("size" 130, 0 and 2^40, a
+#     96 B and a 1 GiB cache, 3 ways, "max_regions" 4000000) — each job
+#     fails with error_kind "precondition" and a message naming the key,
+#     where they used to fail deep inside a stage or be served, and the
+#     session then serves a valid job.
 #
 # Registered as a ctest (serve_check); exits 77 (ctest SKIP) on hosts
 # without python3, hard-fails on a missing casa_serve binary.
@@ -271,5 +276,36 @@ if ! grep -q "above the limit" "$workdir/i_threads.txt"; then
   exit 1
 fi
 echo "serve_check: run I ok — --threads above the cap refused at startup"
+
+echo "serve_check: run J — job fields outside their ranges refused by key"
+job_line() {
+  printf '{"op":"evaluate","workload":"adpcm","job":%s}\n' "$1"
+}
+{
+  job_line '{"kind":"casa","size":130}'
+  job_line '{"kind":"casa","size":0}'
+  job_line '{"kind":"steinke","size":1099511627776}'
+  job_line '{"kind":"cache_only","cache":{"size":96,"line_size":16}}'
+  job_line '{"kind":"cache_only","cache":{"size":1073741824,"line_size":16}}'
+  job_line '{"kind":"casa","size":256,"cache":{"size":1024,"line_size":16,"associativity":3}}'
+  job_line '{"kind":"loopcache","size":256,"max_regions":4000000}'
+  printf '%s\n' "$evaluate" '{"op":"stats"}'
+} | "$serve" > "$workdir/j.txt"
+python3 - "$workdir/j.txt" << 'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1])]
+results = [l for l in lines if l.get("reply") == "result"]
+named = ["job 'size' = 130", "job 'size' = 0", "job 'size' = 1099511627776",
+         "cache 'size' = 96", "cache 'size' = 1073741824",
+         "cache 'associativity' = 3", "job 'max_regions' = 4000000"]
+assert len(results) == len(named) + 1, lines
+for r, key in zip(results, named):
+    assert r["status"] == "failed", r
+    assert r["error_kind"] == "precondition", r
+    assert key in r["message"], (key, r)
+assert results[-1]["status"] == "ok", results[-1]
+assert len([l for l in lines if l.get("reply") == "stats"]) == 1, lines
+print("serve_check: run J ok — seven jobs refused by key, session alive")
+EOF
 
 echo "serve_check: PASS"
