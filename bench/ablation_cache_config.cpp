@@ -6,11 +6,9 @@
 // associativity reduces conflict misses and with them CASA's edge — the
 // crossover structure is the interesting output.
 //
-// The 9 configurations × 3 flows go through one Workbench::evaluate_batch:
-// LRU jobs that feed the cache the same fetch stream share one
-// stack-distance replay, the rest finish by per-config simulation —
-// outcomes and per-row outputs are bit-identical to evaluating each job
-// alone.
+// The 9 configurations × 3 flows go through one Workbench::evaluate_batch,
+// one task per distinct job — outcomes and per-row outputs are
+// bit-identical to evaluating each job alone.
 #include <fstream>
 #include <iostream>
 

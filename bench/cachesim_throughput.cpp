@@ -14,11 +14,9 @@
 // BM_HierarchySimulation replays mpeg's walk along its repeat schedule;
 // BM_HierarchySimulationFlatWalk replays the same walk with the schedule
 // cleared, so their ratio is the schedule's speedup.
-// The one-pass pair (BM_StackSweep vs …PerConfigRef) measures one stack
-// replay of a geometry family against one replay per configuration.
-// BM_ParallelSweep runs a
-// fixed CASA design-space sweep through Workbench::evaluate_batch at 1/2/4
-// threads; on a multi-core host items/sec should scale near-linearly.
+// BM_ParallelSweep runs a fixed CASA design-space sweep through
+// Workbench::evaluate_batch at 1/2/4 threads; on a multi-core host
+// items/sec should scale near-linearly.
 // tools/bench_check.sh compares all of these against BENCH_cachesim.json.
 #include <benchmark/benchmark.h>
 
@@ -27,7 +25,6 @@
 #include <optional>
 
 #include "casa/cachesim/cache.hpp"
-#include "casa/cachesim/stack_sim.hpp"
 #include "casa/conflict/graph_builder.hpp"
 #include "casa/energy/energy_table.hpp"
 #include "casa/fault/fault.hpp"
@@ -268,90 +265,12 @@ void BM_HierarchySimulationWordRef(benchmark::State& state) {
       static_cast<std::int64_t>(p.exec.total_fetches));
 }
 
-// The mpeg fetch stream at line granularity (compiled-stream runs in walk
-// order) — exactly what one sweep group replays.
-struct SweepStream {
-  std::vector<trace::LineRun> runs;
-  std::uint64_t total_words = 0;
-};
-
-const SweepStream& sweep_stream() {
-  static const SweepStream s = [] {
-    const Pipeline& p = pipeline();
-    const trace::CompiledStream stream =
-        traceopt::compile_fetch_stream(p.tp, p.layout, 16);
-    SweepStream out;
-    for (const BasicBlockId bb : p.exec.walk.seq) {
-      for (const trace::LineRun& r : stream.runs(bb)) {
-        out.runs.push_back(r);
-        out.total_words += r.words;
-      }
-    }
-    return out;
-  }();
-  return s;
-}
-
-// The 16-configuration LRU family the sweep gate measures: set counts
-// {8,16,32,64} x associativities {1,2,4,8} at 16-byte lines (128 B – 8 KiB).
-cachesim::ConfigFamily sweep_family() {
-  cachesim::ConfigFamily fam;
-  fam.line_size = 16;
-  for (unsigned sets = 8; sets <= 64; sets *= 2) {
-    for (unsigned assoc = 1; assoc <= 8; assoc *= 2) {
-      cachesim::CacheConfig cfg;
-      cfg.line_size = fam.line_size;
-      cfg.associativity = assoc;
-      cfg.size = static_cast<Bytes>(sets) * assoc * fam.line_size;
-      fam.configs.push_back(cfg);
-    }
-  }
-  return fam;
-}
-
-// One-pass multi-configuration simulation: the whole 16-config family from
-// a single stack-distance replay of the mpeg stream. Items = simulated word
-// fetches x configurations, so the items/sec ratio to
-// BM_StackSweepPerConfigRef is the sweep speedup tools/bench_check.sh gates
-// (>= 3x).
-void BM_StackSweep(benchmark::State& state) {
-  const SweepStream& s = sweep_stream();
-  const cachesim::ConfigFamily family = sweep_family();
-  for (auto _ : state) {
-    cachesim::StackSimulator sim(family);
-    for (const trace::LineRun& r : s.runs) sim.access_line(r.addr, r.words);
-    for (const cachesim::CacheConfig& cfg : family.configs) {
-      benchmark::DoNotOptimize(sim.counters(cfg));
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(s.total_words * family.configs.size()));
-}
-
-// The same 16 configurations replayed one Cache at a time — what a sweep
-// cost before the stack engine, on identical inputs and item accounting.
-void BM_StackSweepPerConfigRef(benchmark::State& state) {
-  const SweepStream& s = sweep_stream();
-  const cachesim::ConfigFamily family = sweep_family();
-  for (auto _ : state) {
-    for (const cachesim::CacheConfig& cfg : family.configs) {
-      cachesim::Cache cache(cfg);
-      for (const trace::LineRun& r : s.runs) cache.access_line(r.addr, r.words);
-      benchmark::DoNotOptimize(cache.hits());
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(s.total_words * family.configs.size()));
-}
-
 // A fixed 8-point CASA sweep on adpcm through Workbench::evaluate_batch;
 // the thread count is the benchmark argument. Items = sweep points evaluated.
-// Each scratchpad size pairs two cache sizes, and a pair shares no stack
-// replay, so every point runs its whole flow as one task: on a multi-core host items/sec should rise near-linearly with the
-// argument (a single-core host shows flat numbers — the determinism test
-// still covers correctness there).
+// Every point runs its whole flow as one task, so on a multi-core host
+// items/sec should rise near-linearly with the argument (a single-core host
+// shows flat numbers — the determinism test still covers correctness
+// there).
 void BM_ParallelSweep(benchmark::State& state) {
   static const prog::Program program = workloads::make_adpcm();
   static const report::Workbench bench(program);
@@ -507,8 +426,6 @@ BENCHMARK(BM_HierarchySimulationFlatWalk)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationTwoWay)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationTwoWayFifo)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HierarchySimulationWordRef)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StackSweep)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StackSweepPerConfigRef)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -5,9 +5,8 @@
 //
 // Per workload, all (spm size × flow) points go through one
 // Workbench::evaluate_batch across cores — the suite is the repo's largest
-// sweep; sweep points that feed the cache the same fetch stream share one
-// stack-distance replay, and the outcomes stay bit-identical to evaluating
-// each point alone.
+// sweep; each distinct point runs its whole flow as one task, and the
+// outcomes stay bit-identical to evaluating each point alone.
 #include <fstream>
 #include <iostream>
 

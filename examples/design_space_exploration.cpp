@@ -8,10 +8,9 @@
 //
 // The sweep points are independent, so they are evaluated as one
 // Workbench::evaluate_batch fanned out across cores (pass a thread count
-// as argv[1]; default = hardware concurrency). Sweep points that feed the
-// cache the same fetch stream share one stack-distance replay; results are
-// ordered, identical for any thread count, and bit-identical to running
-// each point alone.
+// as argv[1]; default = hardware concurrency). Each distinct point runs
+// its whole flow as one task; results are ordered, identical for any
+// thread count, and bit-identical to running each point alone.
 //
 // The batch runs fail-soft (fail_fast off and one transient retry): a
 // sweep point that dies is reported as a failed row while every other split

@@ -70,9 +70,6 @@ inline constexpr std::string_view kEnergyOrderHitSpm = "energy.order.hit-spm";
 inline constexpr std::string_view kEnergySramNonMonotone =
     "energy.sram.non-monotone";
 
-// ---- stack sweep (check_stack_sweep) ----
-inline constexpr std::string_view kSweepStackMismatch = "sweep.stack.mismatch";
-
 // ---- batch containment (check_batch) ----
 inline constexpr std::string_view kRunPartialFailure = "run.partial_failure";
 
@@ -111,7 +108,6 @@ inline constexpr std::string_view kAll[] = {
     kEnergyOrderMissHit,
     kEnergyOrderHitSpm,
     kEnergySramNonMonotone,
-    kSweepStackMismatch,
     kRunPartialFailure,
     kSvcCacheMismatch,
 };

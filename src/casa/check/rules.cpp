@@ -24,7 +24,6 @@ constexpr const char* kModelArtifact = "ilp-model";
 constexpr const char* kAllocArtifact = "allocation";
 constexpr const char* kEnergyArtifact = "energy-table";
 constexpr const char* kEnergyModelArtifact = "energy-model";
-constexpr const char* kStackSweepArtifact = "stack-sweep";
 constexpr const char* kBatchArtifact = "batch-run";
 constexpr const char* kSvcCacheArtifact = "svc-cache";
 
@@ -605,42 +604,6 @@ void check_energy_scaling(const energy::TechnologyParams& tech,
                    "capacity; a decrease means a broken model term");
     }
     prev = e;
-  }
-  runner.mark_evaluated(1);
-}
-
-void check_stack_sweep(const memsim::SimCounters& stack,
-                       const memsim::SimCounters& direct,
-                       const cachesim::CacheConfig& config,
-                       CheckRunner& runner) {
-  const struct {
-    const char* name;
-    std::uint64_t got;
-    std::uint64_t want;
-  } fields[] = {
-      {"total_fetches", stack.total_fetches, direct.total_fetches},
-      {"spm_accesses", stack.spm_accesses, direct.spm_accesses},
-      {"lc_accesses", stack.lc_accesses, direct.lc_accesses},
-      {"cache_accesses", stack.cache_accesses, direct.cache_accesses},
-      {"cache_hits", stack.cache_hits, direct.cache_hits},
-      {"cache_misses", stack.cache_misses, direct.cache_misses},
-      {"cache_evictions", stack.cache_evictions, direct.cache_evictions},
-      {"mainmem_words", stack.mainmem_words, direct.mainmem_words},
-      {"cycles", stack.cycles, direct.cycles},
-  };
-  std::string loc = "cache[" + std::to_string(config.size) + "B/" +
-                    std::to_string(config.associativity) + "way/" +
-                    std::to_string(config.line_size) + "B]";
-  for (const auto& f : fields) {
-    if (f.got != f.want) {
-      std::ostringstream msg;
-      msg << "stack-derived " << f.name << " = " << f.got
-          << " but direct simulation counted " << f.want;
-      runner.error(rule_ids::kSweepStackMismatch, kStackSweepArtifact, loc, msg.str(),
-                   "the one-pass engine must be bit-identical to per-config "
-                   "replay; a drift here invalidates every configuration "
-                   "sharing this group's stack pass");
-    }
   }
   runner.mark_evaluated(1);
 }

@@ -34,7 +34,6 @@
 #include "casa/core/problem.hpp"
 #include "casa/energy/energy_table.hpp"
 #include "casa/energy/technology.hpp"
-#include "casa/memsim/hierarchy.hpp"
 #include "casa/traceopt/layout.hpp"
 #include "casa/traceopt/memory_object.hpp"
 
@@ -87,16 +86,6 @@ void check_energy_table(const energy::EnergyTable& table, bool has_spm,
 /// check invocation, not per flow.
 void check_energy_scaling(const energy::TechnologyParams& tech,
                           CheckRunner& runner);
-
-/// One-pass sweep cross-validation: counters the stack engine derived for a
-/// sampled configuration must be field-for-field identical to a direct
-/// per-configuration simulation of the same job. Any divergence means the
-/// stack-distance accounting (or the counter reconstruction on top of it)
-/// broke, so every configuration in that sweep group is suspect.
-void check_stack_sweep(const memsim::SimCounters& stack,
-                       const memsim::SimCounters& direct,
-                       const cachesim::CacheConfig& config,
-                       CheckRunner& runner);
 
 /// What a fault-contained batch run produced, reduced to the counts the
 /// run.partial_failure rule needs (plain values so the rule stays free of

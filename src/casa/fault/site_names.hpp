@@ -21,16 +21,12 @@ namespace casa::fault::site_names {
 // ---- simulation pipeline (Workbench batch jobs) ----
 /// Start of prepare_job: trace formation / layout / allocation stages.
 inline constexpr std::string_view kSimPrepare = "fault.sim.prepare";
-/// Start of finish_job / finish_with_counters: the hierarchy replay.
+/// After prepare, at the start of a job's hierarchy replay.
 inline constexpr std::string_view kSimFinish = "fault.sim.finish";
 
 // ---- solvers ----
 /// Immediately before core::Allocator::allocate in the CASA flow.
 inline constexpr std::string_view kSolverAllocate = "fault.solver.allocate";
-
-// ---- one-pass sweep engine ----
-/// Start of a shared evaluate_batch stack pass (arg = representative job).
-inline constexpr std::string_view kSweepStackPass = "fault.sweep.stack_pass";
 
 // ---- artifact I/O (guarded writes; see obs::write_artifact_guarded) ----
 inline constexpr std::string_view kIoMetricsWrite = "fault.io.metrics_write";
@@ -48,9 +44,8 @@ inline constexpr std::string_view kSvcCacheLoad = "fault.svc.cache_load";
 /// Every registered site, docs-sync-checked against docs/faults.md by
 /// casa_lint and iterated by the fault-matrix test.
 inline constexpr std::string_view kAll[] = {
-    kSimPrepare,   kSimFinish,    kSolverAllocate, kSweepStackPass,
-    kIoMetricsWrite, kIoTraceWrite, kIoCheckWrite,  kSvcAdmit,
-    kSvcCacheLoad,
+    kSimPrepare,   kSimFinish,    kSolverAllocate, kIoMetricsWrite,
+    kIoTraceWrite, kIoCheckWrite, kSvcAdmit,       kSvcCacheLoad,
 };
 
 namespace detail {

@@ -108,14 +108,13 @@ SimReport simulate_cache_only(const traceopt::TraceProgram& tp,
 /// The counters a line-granular replay reports for `tally`: hits are the
 /// cache words that did not miss, every missing word transfers one line,
 /// and cycles charge each word its tier's latency plus each miss its line
-/// fill. Every kernel replay derives its counters here, as does the batch
-/// engine's stack pass (misses and evictions per member).
+/// fill. Every kernel replay derives its counters here.
 SimCounters counters_from_tally(const ReplayTally& tally, Bytes line_size,
                                 const LatencyParams& lat);
 
 /// The full report (energies) of `counters`: the one computation every
-/// simulator, overlay simulation and the batch engine's stack pass apply,
-/// so counter-identical inputs yield bit-identical reports.
+/// simulator and overlay simulation apply, so counter-identical inputs
+/// yield bit-identical reports.
 SimReport report_from_counters(const SimCounters& counters,
                                const energy::EnergyTable& energies,
                                bool loop_cache);

@@ -1,32 +1,32 @@
 // The replay kernel: the one walk over a compiled fetch stream.
 //
 // Every line-granular replay is this loop: memsim's three simulations, the
-// two-level hierarchy, overlay phases, the conflict-graph and phase-profile
-// builds and the batch engine's stack pass.
+// two-level hierarchy, overlay phases, and the conflict-graph and
+// phase-profile builds.
 // For each executed block it routes the block to the scratchpad (Route::spm),
 // the loop cache (Route::split) or the cache, checks that a cache-bound
 // block is in the layout, sums each tier's words once, and counts the
 // replayed runs. The caller's `on_run(model, mo, run, weight)` says what a
-// cache-bound run does — count a miss, attribute it, forward it to an L2,
-// or feed the stack engine — and returns whether it missed; misses are
-// summed per block in a register.
+// cache-bound run does — count a miss, attribute it, or forward it to an
+// L2 — and returns whether it missed; misses are summed per block in a
+// register.
 //
 // The repeat schedule. A whole walk (trace::BlockWalk) carries the runs of
 // equal consecutive loop iterations the executor recorded. On a model whose
 // state is a recency order (RecencyState: cachesim::LruTags, every one-way
-// cache and 2-, 4- and 8-way LRU, and cachesim::StackSimulator) the kernel
-// replays a run's first copy at weight 1 and its second at weight
-// copies - 1, and skips the rest. That is exact: replaying an access
-// sequence from the state it left once leaves that same state again (each
-// set's order is the sequence's lines by last use, then the untouched lines
-// as they were; Mattson et al., 1970), so copies 2..k all start from one
-// state and see the same hits, misses, victims and stack distances. A miss
-// in copy 2 or later is never cold (its line was touched in copy 1), and its
-// evictor is the access that pushed the line out after its previous use,
-// which lies in the same stretch of the walk for every such copy, so
-// MissAttribution charges each copy alike. Every tally the kernel keeps and
-// every side effect `on_run` has is multiplied by the piece's weight, so
-// the counts stay those of the flat walk.
+// cache and 2-, 4- and 8-way LRU) the kernel replays a run's first copy at
+// weight 1 and its second at weight copies - 1, and skips the rest. That
+// is exact: replaying an access sequence from the state it left once
+// leaves that same state again (each set's order is the sequence's lines
+// by last use, then the untouched lines as they were; Mattson et al.,
+// 1970), so copies 2..k all start from one state and see the same hits,
+// misses and victims. A miss in copy 2 or later is never cold (its line
+// was touched in copy 1), and its evictor is the access that pushed the
+// line out after its previous use, which lies in the same stretch of the
+// walk for every such copy, so MissAttribution charges each copy alike.
+// Every tally the kernel keeps and every side effect `on_run` has is
+// multiplied by the piece's weight, so the counts stay those of the flat
+// walk.
 //
 // Everything else replays flat: the generic Cache (FIFO, round-robin and
 // random above one way; its state is not a recency order), the two-level
@@ -36,8 +36,8 @@
 // tests/compiled_stream_test.cpp holds this kernel to.
 //
 // The model is what on_run drives: the tag model cachesim::with_line_model
-// picks, or a cachesim::StackSimulator. It outlives a call, so overlay
-// simulation replays one phase per call on one model.
+// picks. It outlives a call, so overlay simulation replays one phase per
+// call on one model.
 #pragma once
 
 #include <cstdint>

@@ -70,22 +70,17 @@ inline constexpr std::string_view kIlpWarmstartRootGap =
 inline constexpr std::string_view kIlpLpLimitRetries = "ilp.lp_limit_retries";
 inline constexpr std::string_view kIlpSubtrees = "ilp.subtrees";
 
-// ---- batch runner / one-pass sweep ----
+// ---- batch runner / sweep ----
 inline constexpr std::string_view kRunnerJobs = "runner.jobs";
-inline constexpr std::string_view kRunnerDedupHits = "runner.dedup_hits";
 inline constexpr std::string_view kRunnerThreads = "runner.threads";
 inline constexpr std::string_view kRunnerJobsFailed = "runner.jobs_failed";
 inline constexpr std::string_view kRunnerJobsRetried = "runner.jobs_retried";
-inline constexpr std::string_view kSweepGroups = "sweep.groups";
-inline constexpr std::string_view kSweepStackPasses = "sweep.stack_passes";
+inline constexpr std::string_view kSweepDedupHits = "sweep.dedup_hits";
+/// Unrecorded since the stack pass went; perfbench reads it (ROADMAP item 8).
 inline constexpr std::string_view kSweepStackHits = "sweep.stack_hits";
+/// Unrecorded since the stack pass went; perfbench reads it (ROADMAP item 8).
 inline constexpr std::string_view kSweepFallbackConfigs =
     "sweep.fallback_configs";
-inline constexpr std::string_view kSweepDedupHits = "sweep.dedup_hits";
-inline constexpr std::string_view kSweepDegradedGroups =
-    "sweep.degraded_groups";
-inline constexpr std::string_view kSweepConfigsPerPass =
-    "sweep.configs_per_pass";
 
 // ---- artifact analyzer (casa::check) ----
 inline constexpr std::string_view kCheckDiagnostics = "check.diagnostics";
@@ -148,17 +143,12 @@ inline constexpr std::string_view kAll[] = {
     kIlpLpLimitRetries,
     kIlpSubtrees,
     kRunnerJobs,
-    kRunnerDedupHits,
     kRunnerThreads,
     kRunnerJobsFailed,
     kRunnerJobsRetried,
-    kSweepGroups,
-    kSweepStackPasses,
+    kSweepDedupHits,
     kSweepStackHits,
     kSweepFallbackConfigs,
-    kSweepDedupHits,
-    kSweepConfigsPerPass,
-    kSweepDegradedGroups,
     kCheckDiagnostics,
     kCheckErrors,
     kCheckWarnings,

@@ -37,6 +37,7 @@ inline constexpr std::string_view kSimulation = "simulation";
 // ---- batch / sweep spans ----
 inline constexpr std::string_view kTask = "task";
 inline constexpr std::string_view kSweep = "sweep";
+/// Unrecorded since the stack pass went; perfbench reads it (ROADMAP item 8).
 inline constexpr std::string_view kSweepStackPass = "sweep.stack_pass";
 
 // ---- exact-solver spans, instants, counter tracks ----
@@ -49,19 +50,12 @@ inline constexpr std::string_view kIlpNodes = "ilp.nodes";
 inline constexpr std::string_view kIlpPrunes = "ilp.prunes";
 /// Counter: the specialized engine's tuned root Lagrangian bound (saving).
 inline constexpr std::string_view kIlpLagrangianBound = "ilp.lagrangian_bound";
-/// Sweep instant payload: reuses the metric name so the timeline and the
-/// aggregate view key the same quantity identically.
-inline constexpr std::string_view kSweepConfigsPerPass =
-    metric_names::kSweepConfigsPerPass;
 
 // ---- fault injection / containment instants ----
 /// Emitted by the injection hook on every fired fault (value 1).
 inline constexpr std::string_view kFaultInjected = metric_names::kFaultInjected;
 /// Emitted before each transient retry re-runs (value = 1-based attempt).
 inline constexpr std::string_view kRunnerRetry = "runner.retry";
-/// Emitted when a sweep stack-pass group degrades to per-job simulation.
-inline constexpr std::string_view kSweepDegraded =
-    metric_names::kSweepDegradedGroups;
 
 // ---- evaluation service (svc::EvalService) ----
 /// Span around one admitted request; tail of the request→compute flow.
@@ -88,8 +82,8 @@ inline constexpr std::string_view kAll[] = {
     kIlpIncumbent, kIlpPresolve,  kIlpWarmStart,
     kIlpRcFixed,   kIlpNodes,     kIlpPrunes,
     kIlpLagrangianBound,
-    kSweepConfigsPerPass, kFaultInjected, kRunnerRetry,
-    kSweepDegraded, kSvcRequest,   kSvcCompute,
+    kFaultInjected, kRunnerRetry,  kSvcRequest,
+    kSvcCompute,
 };
 
 static_assert(metric_names::detail::all_unique(kAll, std::size(kAll)),

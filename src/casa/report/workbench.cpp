@@ -128,8 +128,8 @@ std::unique_ptr<check::CheckRunner> make_checker(const WorkbenchOptions& o,
 }
 
 /// Span name of a job kind's flow — identical whether the flow runs whole
-/// (evaluate) or staged (prepare_job / finish_job), so dashboards see one
-/// path.
+/// (evaluate) or stops before the replay (prepare_job), so dashboards see
+/// one path.
 std::string_view flow_name(Workbench::Job::Kind kind) {
   switch (kind) {
     case Workbench::Job::Kind::kCasa:
@@ -202,17 +202,13 @@ Workbench::Workbench(const prog::Program& program, WorkbenchOptions opt)
       opt_(opt),
       exec_(trace::Executor::run(program, exec_opts(opt))) {}
 
-Bytes Workbench::trace_budget(const Job& job) {
+traceopt::TraceProgram Workbench::form(const Job& job) const {
   // Traces must stay individually placeable (paper §3.2) but never smaller
   // than one line.
   const Bytes budget = job.kind == Job::Kind::kCacheOnly ? 1_KiB : job.size;
-  return std::max<Bytes>(budget, job.cache.line_size);
-}
-
-traceopt::TraceProgram Workbench::form(const Job& job) const {
   traceopt::TraceFormationOptions topt;
   topt.cache_line_size = job.cache.line_size;
-  topt.max_trace_size = trace_budget(job);
+  topt.max_trace_size = std::max<Bytes>(budget, job.cache.line_size);
   topt.fuse_ratio = opt_.fuse_ratio;
   return traceopt::form_traces(*program_, exec_.profile, topt);
 }
@@ -367,27 +363,23 @@ Workbench::PreparedJob Workbench::prepare_core(
   return pj;
 }
 
-Outcome Workbench::finish_core(const PreparedJob& pj,
-                               obs::MetricsRegistry* reg) const {
-  fault::at(fault::site_names::kSimFinish);
-  Outcome out = pj.partial;
-  const obs::Span s(reg, obs::trace_names::kSimulation);
-  if (pj.regions != nullptr) {
-    out.sim = memsim::simulate_loopcache_system(*pj.tp, *pj.layout, exec_.walk,
-                                                *pj.regions, pj.job.cache,
-                                                pj.energies, sim_opts(reg));
-  } else {
-    out.sim = memsim::simulate_spm_system(*pj.tp, *pj.layout, exec_.walk,
-                                          pj.on_spm, pj.job.cache,
-                                          pj.energies, sim_opts(reg));
-  }
-  return out;
-}
-
 Outcome Workbench::run(const Job& job, obs::MetricsRegistry* reg) const {
   const obs::Span flow(reg, flow_name(job.kind));
   const std::unique_ptr<check::CheckRunner> chk = make_checker(opt_, reg);
-  return finish_core(prepare_core(job, reg, chk.get()), reg);
+  PreparedJob pj = prepare_core(job, reg, chk.get());
+  fault::at(fault::site_names::kSimFinish);
+  Outcome out = std::move(pj.partial);
+  const obs::Span s(reg, obs::trace_names::kSimulation);
+  if (pj.regions != nullptr) {
+    out.sim = memsim::simulate_loopcache_system(*pj.tp, *pj.layout, exec_.walk,
+                                                *pj.regions, job.cache,
+                                                pj.energies, sim_opts(reg));
+  } else {
+    out.sim = memsim::simulate_spm_system(*pj.tp, *pj.layout, exec_.walk,
+                                          pj.on_spm, job.cache, pj.energies,
+                                          sim_opts(reg));
+  }
+  return out;
 }
 
 Workbench::PreparedJob Workbench::prepare_job(const Job& job,
@@ -395,25 +387,6 @@ Workbench::PreparedJob Workbench::prepare_job(const Job& job,
   const obs::Span flow(reg, flow_name(job.kind));
   const std::unique_ptr<check::CheckRunner> chk = make_checker(opt_, reg);
   return prepare_core(job, reg, chk.get());
-}
-
-Outcome Workbench::finish_job(const PreparedJob& pj,
-                              obs::MetricsRegistry* reg) const {
-  const obs::Span flow(reg, flow_name(pj.job.kind));
-  return finish_core(pj, reg);
-}
-
-Outcome Workbench::finish_with_counters(const PreparedJob& pj,
-                                        const memsim::SimCounters& counters,
-                                        obs::MetricsRegistry* reg) const {
-  fault::at(fault::site_names::kSimFinish);
-  const obs::Span flow(reg, flow_name(pj.job.kind));
-  Outcome out = pj.partial;
-  const obs::Span s(reg, obs::trace_names::kSimulation);
-  out.sim = memsim::report_from_counters(counters, pj.energies,
-                                         pj.regions != nullptr);
-  memsim::record_sim_counters(reg, counters);
-  return out;
 }
 
 }  // namespace casa::report

@@ -7,10 +7,10 @@
 // Benches, examples and integration tests all drive experiments through
 // this type so the methodology is identical everywhere. The whole surface
 // is two calls: evaluate(job) for one configuration, evaluate_batch(jobs)
-// for a fault-contained fan-out. evaluate_batch is also the one-pass sweep
-// engine: it deduplicates the batch and finishes each group of jobs that
-// feed the cache one fetch stream from one stack replay, with Outcomes
-// bit-identical to evaluating every job alone (docs/sweep.md).
+// for a fault-contained fan-out. evaluate_batch is also the sweep engine:
+// it deduplicates the batch and runs each distinct job's whole flow as one
+// task, with Outcomes bit-identical to evaluating every job alone
+// (docs/sweep.md).
 #pragma once
 
 #include <cstdint>
@@ -180,9 +180,8 @@ struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = serial.
   unsigned threads = 0;
   /// Rethrow the lowest-indexed failed job's original exception after the
-  /// whole batch finishes; a failing shared stack replay then fails the
-  /// batch too. False keeps every failure contained in its JobResult and
-  /// degrades failing shared passes to per-job work.
+  /// whole batch finishes. False keeps every failure contained in its
+  /// JobResult.
   bool fail_fast = true;
   /// Per-job retry budget for transient-classed failures (fault::
   /// TransientError); non-transient errors never retry.
@@ -240,10 +239,9 @@ class Workbench {
   /// replay: trace formation, layout, energy table, conflict graph +
   /// allocation (flow permitting) — with the same artifact checks and
   /// per-stage spans evaluate records. `partial` holds every Outcome field
-  /// but `.sim`; finish_job completes it. The split exists for
-  /// evaluate_batch, which prepares many jobs, replaces their per-config
-  /// replays with one shared stack pass, and finishes each from the
-  /// counters that pass derives.
+  /// but `.sim`. It serves callers that need a job's artifacts themselves,
+  /// such as a benchmark that replays them through a reference simulator
+  /// or times the allocation's ILP on its own.
   struct PreparedJob {
     Job job;
     std::shared_ptr<const traceopt::TraceProgram> tp;
@@ -258,12 +256,8 @@ class Workbench {
 
   /// Runs every stage of `job`'s flow except the hierarchy replay,
   /// recording the flow's spans and stage counters into `reg` (null = no
-  /// telemetry). prepare_job + finish_job ≡ evaluate(job).
+  /// telemetry), exactly as evaluate(job) runs them.
   PreparedJob prepare_job(const Job& job, obs::MetricsRegistry* reg) const;
-
-  /// Completes a prepared job by direct hierarchy simulation — the exact
-  /// replay evaluate(job) performs.
-  Outcome finish_job(const PreparedJob& pj, obs::MetricsRegistry* reg) const;
 
   const WorkbenchOptions& options() const { return opt_; }
 
@@ -273,22 +267,17 @@ class Workbench {
   /// into options().metrics when that is set, under one flow span.
   JobResult evaluate(const Job& job) const;
 
-  /// Fault-contained batch evaluation, and the one-pass sweep engine
+  /// Fault-contained batch evaluation, and the sweep engine
   /// (docs/sweep.md). Every healthy job completes no matter how many others
   /// fail; failed jobs come back as structured JobResults (in job order,
   /// thread-count invariant), and transient failures retry per
   /// `opt.max_retries` with deterministic backoff. Work fans out across
   /// opt.threads workers (0 = hardware concurrency, 1 = serial).
   ///
-  /// Every Outcome is bit-identical to evaluate(job), but the batch shares
-  /// work: identical jobs run once (duplicates record nothing of their
-  /// own); at least three LRU jobs that feed the cache one fetch stream
-  /// replay it once through cachesim::StackSimulator. Every job prepares
-  /// (and a CASA job builds its conflict graph) as evaluate does, and every
-  /// job outside such a group runs its whole flow in one task. With
-  /// options().check_artifacts each stack pass is cross-checked against a
-  /// direct simulation of one member first; a pass that fails degrades its
-  /// members to per-job work unless opt.fail_fast is set.
+  /// Every Outcome is bit-identical to evaluate(job). Identical jobs run
+  /// once (duplicates record nothing of their own); every distinct job
+  /// runs its whole flow as one task, as evaluate does, on the tag model
+  /// cachesim::with_line_model picks for its cache.
   ///
   /// Jobs record into a fresh per-attempt registry that merges into their
   /// shard only on success, so merged counters reflect completed jobs only;
@@ -305,25 +294,15 @@ class Workbench {
       sim::MetricsShards* shards = nullptr) const;
 
  private:
-  /// Trace-formation budget of `job`'s flow: the cache-only flow forms
-  /// with 1 KiB, every other flow with its scratchpad / loop-cache
-  /// capacity, never below one cache line. Jobs with equal line size and
-  /// budget form the same trace program.
-  static Bytes trace_budget(const Job& job);
-  /// The trace program `job`'s flow forms.
+  /// The trace program `job`'s flow forms: with a 1 KiB budget in the
+  /// cache-only flow, with the scratchpad / loop-cache capacity in every
+  /// other flow, never below one cache line.
   traceopt::TraceProgram form(const Job& job) const;
-  /// The whole flow of `job`: prepare + finish under one flow span.
+  /// The whole flow of `job`: the prepare stages, then the hierarchy
+  /// replay, under one flow span.
   Outcome run(const Job& job, obs::MetricsRegistry* reg) const;
   PreparedJob prepare_core(const Job& job, obs::MetricsRegistry* reg,
                            check::CheckRunner* chk) const;
-  Outcome finish_core(const PreparedJob& pj, obs::MetricsRegistry* reg) const;
-  /// Completes a prepared job from counters a stack pass derived: energies
-  /// via memsim::report_from_counters, plus the sim.* / cache.* telemetry a
-  /// direct replay records. Counter-identical inputs therefore yield
-  /// bit-identical Outcomes.
-  Outcome finish_with_counters(const PreparedJob& pj,
-                               const memsim::SimCounters& counters,
-                               obs::MetricsRegistry* reg) const;
 
   const prog::Program* program_;
   WorkbenchOptions opt_;

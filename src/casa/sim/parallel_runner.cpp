@@ -2,18 +2,8 @@
 
 namespace casa::sim {
 
-std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t index) {
-  // SplitMix64 (Steele et al.) — one mix is enough to decorrelate
-  // consecutive indices into unrelated xorshift seed states.
-  std::uint64_t z = (base_seed ^ index) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return z != 0 ? z : 0x9e3779b97f4a7c15ULL;
-}
-
 ParallelRunner::ParallelRunner(RunnerOptions opt)
-    : opt_(opt), threads_(support::ThreadPool::resolve(opt.threads)) {
+    : threads_(support::ThreadPool::resolve(opt.threads)) {
   if (threads_ > 1) {
     pool_ = std::make_unique<support::ThreadPool>(threads_, "sim");
   }

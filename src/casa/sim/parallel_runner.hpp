@@ -6,11 +6,6 @@
 // and returns results **in index order** regardless of completion order,
 // so a sweep's output is byte-identical on 1 thread and on N.
 //
-// Stochastic tasks must not share an RNG stream across threads (the
-// interleaving would be schedule-dependent). Each task instead receives a
-// private seed derived from (base seed, index) via task_seed() — a
-// SplitMix64 mix, so consecutive indices get well-separated streams.
-//
 // When a Tracer is attached (obs::Tracer::set_current), every task runs
 // inside a "task" trace span, and pooled tasks are flow-linked back to the
 // span that called map() — the submitting thread emits a flow tail per
@@ -20,8 +15,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "casa/obs/metrics.hpp"
@@ -34,12 +29,7 @@ namespace casa::sim {
 struct RunnerOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = run inline (no pool).
   unsigned threads = 0;
-  /// Base seed mixed into every task's private seed.
-  std::uint64_t seed = 1;
 };
-
-/// Deterministic per-task seed: SplitMix64 of base ^ index. Never 0.
-std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t index);
 
 /// One metrics registry per parallel task.
 ///
@@ -68,39 +58,33 @@ class MetricsShards {
   std::deque<obs::MetricsRegistry> shards_;
 };
 
-/// One contained task failure from map_collect: the task's map index and
-/// the exception it raised.
-struct TaskFailure {
-  std::size_t index = 0;
-  std::exception_ptr error;
-};
-
 class ParallelRunner {
  public:
   explicit ParallelRunner(RunnerOptions opt = {});
 
   unsigned threads() const { return threads_; }
 
-  /// Evaluates fn(index, seed) for index in [0, count) and returns the
-  /// results in index order. R must be default-constructible and movable.
-  /// Task exceptions are contained per index: every failure lands in
-  /// `failures` sorted by index (the slot keeps its default-constructed R),
-  /// every healthy task still completes, and nothing is rethrown.
+  /// Evaluates fn(index) for index in [0, count) and returns the results in
+  /// index order. R must be default-constructible and movable. Every task
+  /// runs even when others throw; the lowest-indexed task exception is then
+  /// rethrown, so one poisoned point fails the whole fan-out
+  /// deterministically.
   template <typename R, typename F>
-  std::vector<R> map_collect(std::size_t count, F&& fn,
-                             std::vector<TaskFailure>& failures) const {
+  std::vector<R> map(std::size_t count, F&& fn) const {
     std::vector<R> results(count);
     obs::Tracer* const tracer = obs::Tracer::current();
     if (threads_ == 1 || count <= 1) {
+      std::exception_ptr first_error;
       for (std::size_t i = 0; i < count; ++i) {
         const obs::TraceSpan task(tracer, obs::trace_names::kTask,
                                   obs::trace_names::kCatSim);
         try {
-          results[i] = fn(i, task_seed(opt_.seed, i));
+          results[i] = fn(i);
         } catch (...) {
-          failures.push_back(TaskFailure{i, std::current_exception()});
+          if (first_error == nullptr) first_error = std::current_exception();
         }
       }
+      if (first_error != nullptr) std::rethrow_exception(first_error);
       return results;
     }
     // Flow tails are emitted on this thread, inside whatever span encloses
@@ -113,37 +97,21 @@ class ParallelRunner {
                                            obs::trace_names::kCatSim));
       }
     }
-    // The pool numbers a batch's submissions from 0, so each captured
-    // failure's submission index is its task index, in index order
-    // whatever the schedule.
+    // The pool numbers a batch's submissions from 0, so the failure wait()
+    // rethrows is the lowest task index's, whatever the schedule.
     for (std::size_t i = 0; i < count; ++i) {
-      pool_->submit([&results, &fn, &flows, tracer, this, i] {
+      pool_->submit([&results, &fn, &flows, tracer, i] {
         const obs::TraceSpan task(tracer, obs::trace_names::kTask,
                                   obs::trace_names::kCatSim,
                                   flows.empty() ? 0 : flows[i]);
-        results[i] = fn(i, task_seed(opt_.seed, i));
+        results[i] = fn(i);
       });
     }
-    for (const support::TaskError& e : pool_->wait_collect()) {
-      failures.push_back(TaskFailure{e.task_index, e.error});
-    }
-    return results;
-  }
-
-  /// map_collect with batch-level rethrow: the lowest-indexed task
-  /// exception (if any) is rethrown after all tasks finish, so one poisoned
-  /// point still fails the whole fan-out deterministically.
-  template <typename R, typename F>
-  std::vector<R> map(std::size_t count, F&& fn) const {
-    std::vector<TaskFailure> failures;
-    std::vector<R> results =
-        map_collect<R>(count, static_cast<F&&>(fn), failures);
-    if (!failures.empty()) std::rethrow_exception(failures.front().error);
+    pool_->wait();
     return results;
   }
 
  private:
-  RunnerOptions opt_;
   unsigned threads_ = 1;
   std::unique_ptr<support::ThreadPool> pool_;  ///< null when threads_ == 1
 };

@@ -1,5 +1,5 @@
 // sim::SweepPlanner — a forwarder to Workbench::evaluate_batch, which is
-// the one-pass sweep engine (docs/sweep.md). It stays only because
+// the sweep engine (docs/sweep.md). It stays only because
 // perfbench/suite.cpp still calls it; new code calls evaluate_batch.
 #pragma once
 

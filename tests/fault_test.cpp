@@ -6,7 +6,7 @@
 // deterministic corrupt action, and run_with_retry. Artifact tests drive
 // obs::write_artifact_guarded through every action and assert that a
 // retried or corrupted write still commits a clean payload. The matrix
-// tests inject at every simulation/solver/sweep site through
+// tests inject at every simulation/solver site through
 // Workbench::evaluate_batch and hold the isolation invariant: the targeted
 // job fails (or retries) alone, every other job's Outcome is bit-identical
 // to a fault-free run, for any thread count.
@@ -461,12 +461,8 @@ TEST_F(FaultTest, TraceHookEmitsInjectionAndRetryInstants) {
 
 // ------------------------------------------------------------ sweep engine
 
-/// Two stack-eligible LRU families. The stream key ignores cache size and
-/// associativity (one stack pass serves the whole sets x assoc family), so
-/// the second family needs a different line size to form its own group:
-/// jobs 0-3 (line 16) share one fetch stream — the faulted group, with
-/// rep_job = 0 — and jobs 4-6 (line 32) the other, three members so that it
-/// still earns a stack pass of its own.
+/// LRU cache-only geometries at two line sizes: jobs 0-3 at 16-byte lines,
+/// jobs 4-6 at 32-byte lines.
 std::vector<Job> sweep_jobs() {
   std::vector<Job> jobs;
   for (const Bytes size : {128u, 256u, 512u, 1024u}) {
@@ -480,71 +476,36 @@ std::vector<Job> sweep_jobs() {
   return jobs;
 }
 
-TEST_F(FaultTest, SweepDegradesTheFaultedGroupAndKeepsResults) {
-  const std::vector<Job> jobs = sweep_jobs();
-  BatchOptions bopt;
-  bopt.threads = 2;
-  bopt.fail_fast = false;
-  bopt.retry_backoff_us = 1;
-
-  // Fault-free baseline on the uninstrumented bench: metrics never change
-  // outcomes, so it doubles as the reference for the instrumented run.
-  const std::vector<JobResult> base = bench().evaluate_batch(jobs, bopt);
-  for (const JobResult& r : base) ASSERT_TRUE(r.ok());
-
-  obs::MetricsRegistry reg;
-  report::WorkbenchOptions wopt;
-  wopt.metrics = &reg;
-  const Workbench instrumented(adpcm(), wopt);
-
-  // A permanent fault in group 0's shared stack pass degrades that group to
-  // per-member direct finishes — same outcomes, one degraded-group mark.
-  fault::arm(fault::parse_spec(
-      spec_for(sites::kSweepStackPass, "throw", "arg=0")));
-  const std::vector<JobResult> got = instrumented.evaluate_batch(jobs, bopt);
-  fault::disarm();
-  ASSERT_EQ(got.size(), base.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok()) << "job " << i;
-    expect_outcome_eq(got[i].outcome, base[i].outcome, i);
-  }
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("sweep.degraded_groups"), 1u);
-  EXPECT_EQ(snap.counters.at("sweep.stack_passes"), 1u);  // group 1 still did
-  EXPECT_EQ(snap.counters.at("fault.injected"), 1u);
-  EXPECT_EQ(snap.counters.count("runner.jobs_failed"), 0u);
-}
-
-TEST_F(FaultTest, SweepFailFastStillThrowsInjectedFaults) {
-  fault::arm(fault::parse_spec(
-      spec_for(sites::kSweepStackPass, "throw", "arg=0")));
-  BatchOptions bopt;
-  bopt.threads = 2;
-  EXPECT_THROW(bench().evaluate_batch(sweep_jobs(), bopt), fault::FaultError);
-}
-
 TEST_F(FaultTest, SweepUnderFaultIsThreadCountInvariant) {
   const std::vector<Job> jobs = sweep_jobs();
   BatchOptions bopt;
   bopt.fail_fast = false;
   bopt.retry_backoff_us = 1;
 
+  // A permanent fault in job 1's hierarchy replay: job 1 fails, and every
+  // other job comes back ok, on any schedule.
   const auto run_at = [&](unsigned threads) {
     fault::arm(fault::parse_spec(
-        spec_for(sites::kSweepStackPass, "throw", "arg=0")));
+        spec_for(sites::kSimFinish, "throw", "arg=1")));
     bopt.threads = threads;
     const std::vector<JobResult> r = bench().evaluate_batch(jobs, bopt);
     fault::disarm();
     return r;
   };
   const std::vector<JobResult> one = run_at(1);
+  ASSERT_EQ(one.size(), jobs.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i].ok(), i != 1) << "job " << i;
+  }
+  EXPECT_EQ(one[1].error_kind, "fault");
   for (const unsigned threads : {2u, 8u}) {
     const std::vector<JobResult> many = run_at(threads);
     ASSERT_EQ(many.size(), one.size());
     for (std::size_t i = 0; i < one.size(); ++i) {
       EXPECT_EQ(many[i].status, one[i].status) << "job " << i;
-      ASSERT_TRUE(many[i].ok()) << "job " << i;
-      expect_outcome_eq(many[i].outcome, one[i].outcome, i);
+      EXPECT_EQ(many[i].error_kind, one[i].error_kind) << "job " << i;
+      EXPECT_EQ(many[i].message, one[i].message) << "job " << i;
+      if (one[i].ok()) expect_outcome_eq(many[i].outcome, one[i].outcome, i);
     }
   }
 }

@@ -3,12 +3,13 @@
 //
 // The contract under test: a sweep evaluated on 1 thread and on N threads
 // returns identical result vectors — same order, same values — because
-// results are stored by index and every task derives randomness only from
-// its own (base seed, index) pair.
+// results are stored by index.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "casa/report/workbench.hpp"
 #include "casa/sim/parallel_runner.hpp"
@@ -104,28 +105,32 @@ TEST(ParallelRunner, ResultsComeBackInIndexOrder) {
   opt.threads = 4;
   const sim::ParallelRunner runner(opt);
   const std::vector<std::size_t> out = runner.map<std::size_t>(
-      257, [](std::size_t i, std::uint64_t) { return i * i; });
+      257, [](std::size_t i) { return i * i; });
   ASSERT_EQ(out.size(), 257u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(ParallelRunner, TaskSeedsAreStableAndDistinct) {
-  // Seeds depend only on (base, index) — never on schedule or thread count.
-  EXPECT_EQ(sim::task_seed(1, 0), sim::task_seed(1, 0));
-  EXPECT_NE(sim::task_seed(1, 0), sim::task_seed(1, 1));
-  EXPECT_NE(sim::task_seed(1, 0), sim::task_seed(2, 0));
-  EXPECT_NE(sim::task_seed(1, 0), 0u);
-
-  sim::RunnerOptions serial;
-  serial.threads = 1;
-  serial.seed = 42;
-  sim::RunnerOptions wide = serial;
-  wide.threads = 8;
-  const auto seeds_of = [](const sim::RunnerOptions& o) {
-    return sim::ParallelRunner(o).map<std::uint64_t>(
-        64, [](std::size_t, std::uint64_t seed) { return seed; });
-  };
-  EXPECT_EQ(seeds_of(serial), seeds_of(wide));
+TEST(ParallelRunner, MapRunsEveryTaskThenRethrowsTheLowestFailure) {
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    sim::RunnerOptions opt;
+    opt.threads = threads;
+    const sim::ParallelRunner runner(opt);
+    std::atomic<int> ran{0};
+    try {
+      runner.map<int>(10, [&](std::size_t i) {
+        ++ran;
+        if (i == 3 || i == 7) {
+          throw std::runtime_error("task " + std::to_string(i));
+        }
+        return 0;
+      });
+      ADD_FAILURE() << "map swallowed the task failures";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3");
+    }
+    EXPECT_EQ(ran.load(), 10);
+  }
 }
 
 TEST(ParallelRunner, SweepIsThreadCountInvariant) {

@@ -3,10 +3,9 @@
 //
 // Each test replays random walks with planted repeats twice: along their
 // schedule, and with `repeats` cleared, which replays every copy. On the
-// recency-ordered models (cachesim::LruTags at 1, 2, 4 and 8 ways, and
-// cachesim::StackSimulator) the two must agree in everything the replay
-// yields: the kernel's tally and evictions, MissAttribution's whole
-// conflict graph, and the stack engine's counters for every family member.
+// recency-ordered models (cachesim::LruTags at 1, 2, 4 and 8 ways) the two
+// must agree in everything the replay yields: the kernel's tally and
+// evictions, and MissAttribution's whole conflict graph.
 // The generic Cache (FIFO and random at two ways) and the two-level
 // hierarchy must replay flat: on planted walks where a weighted replay
 // changes their counts, they still equal the word-granular reference.
@@ -18,7 +17,6 @@
 
 #include "casa/cachesim/cache.hpp"
 #include "casa/cachesim/line_model.hpp"
-#include "casa/cachesim/stack_sim.hpp"
 #include "casa/conflict/graph_builder.hpp"
 #include "casa/energy/energy_table.hpp"
 #include "casa/loopcache/ross_allocator.hpp"
@@ -234,49 +232,6 @@ TEST(ReplaySchedule, MissAttributionMatchesTheFlatWalk) {
       expect_same_graph(sched, ref);
     }
   }
-}
-
-TEST(ReplaySchedule, StackSimulatorMatchesTheFlatWalk) {
-  const Rig& r = rig();
-  const cachesim::ConfigFamily family =
-      cachesim::ConfigFamily::grid(kLine, 64, 8);
-  const std::vector<bool> on_spm = some_on_spm(r.tp.object_count());
-  const auto run = [&](const trace::BlockWalk& walk,
-                       memsim::ReplayTally& t) {
-    cachesim::StackSimulator sim(family);
-    memsim::replay(sim,
-                   memsim::Route{.tp = &r.tp, .stream = &r.stream,
-                                 .spm = &on_spm},
-                   walk, t,
-                   [](cachesim::StackSimulator& s, MemoryObjectId,
-                      const trace::LineRun& run, std::uint64_t weight) {
-                     s.access_line(run.addr, run.words, weight);
-                     return false;
-                   });
-    return sim;
-  };
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const trace::BlockWalk walk = planted_walk(r.program.block_count(), seed);
-    memsim::ReplayTally sched_tally, ref_tally;
-    const cachesim::StackSimulator sched = run(walk, sched_tally);
-    const cachesim::StackSimulator ref = run(flat(walk), ref_tally);
-    expect_same_tally(sched_tally, ref_tally);
-    EXPECT_GT(sched_tally.skipped_blocks, 0u);
-    for (const cachesim::CacheConfig& cfg : family.configs) {
-      SCOPED_TRACE("sets " + std::to_string(cfg.sets()) + " ways " +
-                   std::to_string(cfg.associativity));
-      EXPECT_EQ(sched.counters(cfg), ref.counters(cfg));
-    }
-  }
-}
-
-TEST(ReplaySchedule, AWeightedFirstTouchIsRejected) {
-  cachesim::StackSimulator sim(cachesim::ConfigFamily::grid(kLine, 4, 2));
-  EXPECT_THROW(sim.access_line(0, 4, 2), PreconditionError);
-  sim.access_line(0, 4);
-  sim.access_line(0, 4, 3);
-  EXPECT_EQ(sim.counters(lru(kLine, 1)).hits, 4u * 4 - 1);
 }
 
 TEST(ReplaySchedule, MalformedSchedulesAreRejected) {

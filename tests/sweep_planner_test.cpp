@@ -1,17 +1,16 @@
-// One-pass batch engine equivalence suite.
+// Batch engine equivalence suite.
 //
-// Workbench::evaluate_batch's contract is "every job as if evaluated alone,
-// but faster": Outcomes, per-job telemetry, and thread invariance must all
-// survive the shared stack replays. The
-// reference never goes through evaluate_batch: Outcomes come from per-job
-// evaluate, per-job counters from prepare_job + finish_job into a private
-// registry. The suite holds both over a mixed sweep (groupable LRU configs,
-// FIFO/round-robin fallback, CASA/Steinke singletons, a loop-cache job,
-// duplicates) and over CASA jobs sharing a trace program across several
-// LRU geometries, at 1 and 3 threads; it also pins the sweep.* planning
-// metrics, the three-member threshold for shared passes, batch job
-// deduplication, and the sweep.stack.mismatch rule.
-// The SweepPlanner suite is named for the one-pass sweep planner that
+// Workbench::evaluate_batch's contract is "every job as if evaluated
+// alone": Outcomes, per-job telemetry, and thread invariance must all
+// survive the fan-out and deduplication. The reference never goes through
+// evaluate_batch: each job's Outcome and counters come from evaluate on a
+// Workbench that records into a private registry. The suite holds both
+// over a mixed sweep (LRU geometries at several ways, FIFO/round-robin
+// configs, CASA/Steinke points, a loop-cache job, duplicates) and over
+// CASA jobs sharing a trace program across several LRU geometries, at 1
+// and 3 threads; it also pins the runner.* and sweep.* batch metrics,
+// batch job deduplication and the batch's trace events.
+// The SweepPlanner suite is named for the sweep planner that
 // evaluate_batch implements.
 #include <gtest/gtest.h>
 
@@ -21,9 +20,6 @@
 #include <vector>
 
 #include "casa/cachesim/cache.hpp"
-#include "casa/check/diagnostic.hpp"
-#include "casa/check/rules.hpp"
-#include "casa/check/runner.hpp"
 #include "casa/obs/metrics.hpp"
 #include "casa/obs/tracer.hpp"
 #include "casa/report/workbench.hpp"
@@ -48,9 +44,9 @@ cachesim::CacheConfig cache_cfg(
   return cfg;
 }
 
-/// The sweep the engine must reproduce: one big groupable LRU cache-only
-/// family, duplicates, non-LRU fallback configs, CASA and Steinke points,
-/// and a loop-cache job (never stack-eligible).
+/// The sweep the engine must reproduce: LRU cache-only geometries at one
+/// line size, duplicates, non-LRU configs, CASA and Steinke points, and a
+/// loop-cache job.
 std::vector<Job> mixed_jobs() {
   std::vector<Job> jobs;
   for (const Bytes size : {128u, 256u, 512u, 1024u}) {
@@ -148,10 +144,10 @@ std::map<std::string, std::uint64_t> job_counters(
 }
 
 /// The per-job reference, computed without evaluate_batch: each job's
-/// Outcome from evaluate, and the counters its prepare_job + finish_job
-/// record into a private registry. A batch evaluates a repeated job once
-/// and records nothing for the repeats, so their expected counters are
-/// empty.
+/// Outcome from evaluate, and the counters evaluate records on a Workbench
+/// whose registry is private to the job. A batch evaluates a repeated job
+/// once and records nothing for the repeats, so their expected counters
+/// are empty.
 struct Oracle {
   std::vector<Outcome> outcomes;
   std::vector<std::map<std::string, std::uint64_t>> counters;
@@ -164,7 +160,10 @@ Oracle oracle_of(const Workbench& bench, const std::vector<Job>& jobs) {
     obs::MetricsRegistry reg;
     const auto earlier = jobs.begin() + static_cast<std::ptrdiff_t>(i);
     if (std::find(jobs.begin(), earlier, jobs[i]) == earlier) {
-      bench.finish_job(bench.prepare_job(jobs[i], &reg), &reg);
+      report::WorkbenchOptions wopt = bench.options();
+      wopt.metrics = &reg;
+      const Workbench recording(bench.program(), wopt);
+      recording.evaluate(jobs[i]).value();
     }
     o.counters.push_back(job_counters(reg.snapshot()));
   }
@@ -233,16 +232,10 @@ TEST(SweepPlanner, RecordsSweepMetrics) {
   EXPECT_EQ(snap.counters.at("runner.jobs"), jobs.size());
   // mixed_jobs repeats two cache-only points.
   EXPECT_EQ(snap.counters.at("sweep.dedup_hits"), 2u);
-  EXPECT_EQ(snap.counters.at("runner.dedup_hits"), 2u);
-  // The six distinct LRU cache-only configs share one stream, so at least
-  // one stack pass with >= 6 configurations must have run.
-  EXPECT_GE(snap.counters.at("sweep.stack_passes"), 1u);
-  EXPECT_GE(snap.counters.at("sweep.stack_hits"), 6u);
-  EXPECT_GT(snap.counters.at("sweep.groups"), 0u);
-  EXPECT_GT(snap.counters.at("sweep.fallback_configs"), 0u);
-  const auto it = snap.distributions.find("sweep.configs_per_pass");
-  ASSERT_TRUE(it != snap.distributions.end());
-  EXPECT_GE(it->second.max, 6.0);
+  EXPECT_EQ(snap.gauges.at("runner.threads"), 1.0);
+  // Every unique job replays on its own model; nothing shares a pass.
+  EXPECT_EQ(snap.counters.count("sweep.stack_hits"), 0u);
+  EXPECT_EQ(snap.counters.count("sweep.fallback_configs"), 0u);
 }
 
 TEST(SweepPlanner, ThreadCountInvariant) {
@@ -292,44 +285,6 @@ TEST(SweepPlanner, CasaFamilyMatchesEvaluateBatch) {
   }
 }
 
-/// A pair gains nothing from a shared pass (with the default cross-check
-/// it costs more than two direct runs): two CASA geometries and an LRU
-/// stream of two cache-only geometries finish per job, and a third
-/// cache-only geometry earns its stream a stack pass.
-TEST(EvaluateBatch, SharedPassesNeedThreeMembers) {
-  const prog::Program program = workloads::by_name("adpcm");
-  const Workbench reference(program);
-  std::vector<Job> jobs = {Job::casa_job(cache_cfg(256, 1), 256),
-                           Job::casa_job(cache_cfg(512, 2), 256),
-                           Job::cache_only_job(cache_cfg(256, 1)),
-                           Job::cache_only_job(cache_cfg(1024, 4))};
-  const auto counters_of = [&](const std::vector<Job>& batch) {
-    obs::MetricsRegistry reg;
-    report::WorkbenchOptions wopt;
-    wopt.metrics = &reg;
-    const Workbench bench(program, wopt);
-    report::BatchOptions serial;
-    serial.threads = 1;
-    const std::vector<report::JobResult> results =
-        bench.evaluate_batch(batch, serial);
-    const Oracle oracle = oracle_of(reference, batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_TRUE(results[i].ok()) << "job " << i;
-      expect_outcome_eq(results[i].outcome, oracle.outcomes[i], i);
-    }
-    return reg.snapshot().counters;
-  };
-
-  const auto pairs = counters_of(jobs);
-  EXPECT_EQ(pairs.at("sweep.stack_passes"), 0u);
-  EXPECT_EQ(pairs.at("sweep.fallback_configs"), jobs.size());
-
-  jobs.push_back(Job::casa_job(cache_cfg(1024, 4), 256));
-  jobs.push_back(Job::cache_only_job(cache_cfg(512, 2)));
-  const auto trios = counters_of(jobs);
-  EXPECT_GE(trios.at("sweep.stack_passes"), 1u);
-}
-
 TEST(RunMany, DeduplicatesIdenticalJobs) {
   const prog::Program program = workloads::by_name("adpcm");
   obs::MetricsRegistry reg;
@@ -352,7 +307,7 @@ TEST(RunMany, DeduplicatesIdenticalJobs) {
 
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("runner.jobs"), 4u);
-  EXPECT_EQ(snap.counters.at("runner.dedup_hits"), 2u);
+  EXPECT_EQ(snap.counters.at("sweep.dedup_hits"), 2u);
   // Only the two unique flows recorded: the merged fetch count equals two
   // solo runs, not four.
   const Outcome solo_a = bench.evaluate(Job::cache_only_job(cache_cfg(256, 1))).value();
@@ -375,56 +330,21 @@ TEST(SweepPlanner, EmitsTraceEventsWhenTracerAttached) {
   obs::Tracer::set_current(nullptr);
 
   const obs::TraceData data = tracer.drain();
-  std::uint64_t sweeps = 0, passes = 0, tasks = 0, tails = 0, heads = 0,
-                pass_instants = 0;
+  std::uint64_t sweeps = 0, tasks = 0, task_tails = 0, tails = 0, heads = 0;
   for (const obs::TraceEvent& e : data.events) {
     if (e.kind == obs::TraceEventKind::kBegin && e.name == "sweep") ++sweeps;
-    if (e.kind == obs::TraceEventKind::kBegin &&
-        e.name == "sweep.stack_pass") {
-      ++passes;
-    }
     if (e.kind == obs::TraceEventKind::kBegin && e.name == "task") ++tasks;
-    if (e.kind == obs::TraceEventKind::kFlowBegin) ++tails;
-    if (e.kind == obs::TraceEventKind::kFlowEnd) ++heads;
-    if (e.kind == obs::TraceEventKind::kInstant &&
-        e.name == "sweep.configs_per_pass") {
-      ++pass_instants;
+    if (e.kind == obs::TraceEventKind::kFlowBegin) {
+      ++tails;
+      if (e.name == "task") ++task_tails;
     }
+    if (e.kind == obs::TraceEventKind::kFlowEnd) ++heads;
   }
   EXPECT_EQ(sweeps, 1u);
-  EXPECT_GE(passes, 1u);      // the groupable LRU family ran as a stack pass
-  EXPECT_EQ(passes, pass_instants);
-  EXPECT_GT(tasks, 0u);       // fallback + singleton jobs fan out as tasks
-  EXPECT_EQ(tails, heads);    // every scheduled flow got picked up
-  EXPECT_GT(tails, 0u);
-}
-
-TEST(CheckStackSweep, PassesOnIdenticalCounters) {
-  memsim::SimCounters c;
-  c.total_fetches = 100;
-  c.cache_accesses = 100;
-  c.cache_hits = 90;
-  c.cache_misses = 10;
-  c.cycles = 500;
-  check::CheckRunner runner;
-  check::check_stack_sweep(c, c, cache_cfg(256, 1), runner);
-  EXPECT_TRUE(runner.ok());
-  EXPECT_EQ(runner.rules_evaluated(), 1u);
-}
-
-TEST(CheckStackSweep, FlagsEveryDivergentField) {
-  memsim::SimCounters stack;
-  stack.total_fetches = 100;
-  stack.cache_hits = 90;
-  memsim::SimCounters direct = stack;
-  direct.cache_hits = 80;
-  direct.cache_misses = 10;
-  check::CheckRunner runner;
-  check::check_stack_sweep(stack, direct, cache_cfg(256, 1), runner);
-  EXPECT_FALSE(runner.ok());
-  EXPECT_EQ(runner.error_count(), 2u);  // cache_hits and cache_misses
-  EXPECT_EQ(runner.diagnostics()[0].rule, "sweep.stack.mismatch");
-  EXPECT_THROW(runner.throw_if_errors(), check::CheckError);
+  // One task per unique job: mixed_jobs has two duplicates.
+  EXPECT_EQ(tasks, jobs.size() - 2);
+  EXPECT_EQ(task_tails, tasks);  // every task is flow-linked to the batch
+  EXPECT_EQ(tails, heads);       // every scheduled flow got picked up
 }
 
 }  // namespace

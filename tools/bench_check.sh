@@ -4,7 +4,7 @@
 # Runs build/bench/cachesim_throughput with a short measurement window and
 # compares every benchmark's items_per_second against the checked-in
 # baseline (BENCH_cachesim.json at the repo root). Fails when any benchmark
-# regresses by more than TOLERANCE (default 20%). Also asserts ten
+# regresses by more than TOLERANCE (default 20%). Also asserts nine
 # current-run invariants, each a ratio of two kernels from the same run:
 #   - BM_ConflictGraphBuild >= 2x BM_ConflictGraphBuildWordRef (compiled
 #     streams);
@@ -17,8 +17,6 @@
 #   - BM_HierarchySimulation >= 1.3x BM_HierarchySimulationFlatWalk (mpeg's
 #     walk along its repeat schedule against the same walk with the
 #     schedule cleared, so a replay that stops taking the schedule fails);
-#   - BM_StackSweep >= 3x BM_StackSweepPerConfigRef (one-pass
-#     multi-config simulation);
 #   - BM_TraceOverheadNull >= 0.85x BM_TraceOverheadOff (a detached
 #     obs::Span is within measurement noise of no span at all);
 #   - BM_FaultCheckOff >= 0.85x BM_TraceOverheadOff (a disarmed fault::at
@@ -318,24 +316,6 @@ elif current:
         if not current.get(name):
             failures.append(
                 f"{name}: required by the disarmed fault-site overhead "
-                "invariant but absent from this run")
-
-# One-pass sweep invariant: replaying a fetch stream once through the
-# stack-distance engine must stay >= 3x faster than simulating the same
-# 16-config family one Cache at a time.
-fast = current.get("BM_StackSweep")
-ref = current.get("BM_StackSweepPerConfigRef")
-if fast and ref:
-    speedup = fast / ref
-    print(f"one-pass sweep speedup (16-config family): {speedup:.2f}x")
-    if speedup < 3.0:
-        failures.append(
-            f"one-pass sweep speedup {speedup:.2f}x < 3.0x required")
-elif current:
-    for name in ("BM_StackSweep", "BM_StackSweepPerConfigRef"):
-        if not current.get(name):
-            failures.append(
-                f"{name}: required by the one-pass sweep speedup "
                 "invariant but absent from this run")
 
 # Serve-cache invariant: a content-addressed hit (key + LRU lookup +

@@ -26,10 +26,9 @@
 #     2^32) get one error line naming the key instead of wrapping, and a
 #     genuine 2-way request afterwards is a miss, not a hit on an entry the
 #     wrapped request left behind;
-#   * run H: a batch of three LRU cache-only geometries at one line size,
-#     whose misses share one stack replay, sent once fault-free and once
-#     with every fault.sweep.stack_pass throwing — the faulted pass degrades
-#     to per-job simulation, and every job comes back ok with result lines
+#   * run H: a batch of three LRU cache-only geometries, sent once
+#     fault-free and once with fault.sim.finish throwing for job 1 — job 1
+#     fails with error_kind "fault", and the other two result lines are
 #     byte-identical to the fault-free session's;
 #   * run I: "ilp_threads":100000, above the thread-pool cap — the job
 #     fails with error_kind "precondition" instead of aborting the process,
@@ -222,33 +221,30 @@ assert stats[0]["cache_entries"] == 1, stats[0]
 print("serve_check: run G ok — both refused by key, the 2-way request missed")
 EOF
 
-echo "serve_check: run H — a failing shared stack pass degrades, results exact"
+echo "serve_check: run H — a faulted batch job fails alone, the rest exact"
 cache_only() {
   printf '{"kind":"cache_only","cache":{"size":%s,"line_size":16,"associativity":%s}}' "$1" "$2"
 }
 batch="{\"op\":\"batch\",\"workload\":\"adpcm\",\"jobs\":[$(cache_only 256 1),$(cache_only 512 2),$(cache_only 1024 4)]}"
+printf '%s\n' "$batch" | "$serve" > "$workdir/h_clean.txt"
 printf '%s\n' "$batch" \
-  | "$serve" --metrics-json="$workdir/h_clean.json" > "$workdir/h_clean.txt"
-printf '%s\n' "$batch" \
-  | "$serve" --fault-spec='site=fault.sweep.stack_pass,action=throw' \
-      --metrics-json="$workdir/h_fault.json" > "$workdir/h_fault.txt"
+  | "$serve" --fault-spec='site=fault.sim.finish,action=throw,arg=1' \
+      > "$workdir/h_fault.txt"
 python3 - "$workdir" << 'EOF'
 import json, sys
 d = sys.argv[1]
 def results(name):
     return [l for l in open(f"{d}/{name}") if '"reply":"result"' in l]
 clean, faulted = results("h_clean.txt"), results("h_fault.txt")
-assert len(clean) == 3, clean
-for line in faulted:
+assert len(clean) == 3 and len(faulted) == 3, (clean, faulted)
+for line in clean:
     assert json.loads(line)["status"] == "ok", line
-assert faulted == clean, "degraded results differ from the fault-free session"
-def counters(name):
-    return json.load(open(f"{d}/{name}"))["counters"]
-c, f = counters("h_clean.json"), counters("h_fault.json")
-assert c.get("sweep.stack_passes", 0) >= 1, c
-assert f.get("sweep.stack_passes", 0) == 0, f
-assert f.get("sweep.degraded_groups", 0) == 1, f
-print("serve_check: run H ok — pass degraded, three results byte-identical")
+failed = json.loads(faulted[1])
+assert failed["status"] == "failed", failed
+assert failed["error_kind"] == "fault", failed
+assert [faulted[0], faulted[2]] == [clean[0], clean[2]], \
+    "bystander results differ from the fault-free session"
+print("serve_check: run H ok — job 1 failed as a fault, two results byte-identical")
 EOF
 
 echo "serve_check: run I — a thread count above the pool cap is refused"
